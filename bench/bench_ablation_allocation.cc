@@ -1,10 +1,20 @@
 /// Ablation: stratum allocation inside the stratified framework.
 ///
 /// Alg. 1 leaves the per-stratum budgets m_k free. This bench compares the
-/// uniform round-robin default against pilot-based Neyman allocation at
-/// matched total budgets on the noisy FL linear-regression utility, where
-/// strata genuinely differ in marginal-contribution variance.
-
+/// uniform round-robin default against the streaming Neyman allocation of
+/// AdaptiveStratifiedShapley (pilot epoch, then per-epoch reallocation
+/// over running stratum moments) at matched total budgets on the noisy FL
+/// linear-regression utility, and prints the distinct coalitions each arm
+/// evaluates.
+///
+/// At this size the table does not separate the two allocators. Both cap
+/// stratum k at C(n, k) rounds, and the rounds are drawn with replacement,
+/// so the singleton stratum gets at most n draws and leaves about a third
+/// of the clients without a U({i}) - U({}) pair. That pair carries almost
+/// all of this utility's value, so both errors are set by which clients
+/// the capped singleton draws missed. Once every stratum is at its cap
+/// (budget 120 already reaches 220-230 of the 255 coalitions), a larger
+/// budget changes nothing.
 #include <cstdio>
 #include <iostream>
 
@@ -45,9 +55,11 @@ int main(int argc, char** argv) {
     exact = sv->values;
   }
 
-  ConsoleTable table({"budget", "uniform err", "Neyman err", "ratio"});
+  ConsoleTable table({"budget", "uniform err", "uniform coalitions",
+                      "Neyman err", "Neyman coalitions"});
   for (int budget : {120, 240, 480}) {
     double uniform_sum = 0.0, neyman_sum = 0.0;
+    double uniform_coalitions = 0.0, neyman_coalitions = 0.0;
     for (int rep = 0; rep < repeats; ++rep) {
       LinearRegressionUtility utility(params);
       utility.Reseed(options.seed + 71 * rep);
@@ -62,31 +74,29 @@ int main(int argc, char** argv) {
           StratifiedSamplingShapley(uniform_session, uniform);
       if (!u.ok()) return 1;
       uniform_sum += RelativeL2Error(exact, u->values);
+      uniform_coalitions += static_cast<double>(u->num_trainings);
 
-      UtilitySession alloc_session(&cache);
-      Result<std::vector<int>> allocation =
-          NeymanAllocation(alloc_session, budget, 2,
-                           options.seed + 31 * rep);
-      if (!allocation.ok()) return 1;
-      StratifiedConfig neyman;
-      neyman.rounds_per_stratum = *allocation;
+      AdaptiveAllocationConfig neyman;
+      neyman.total_rounds = budget;
       neyman.pair_policy = PairPolicy::kEvaluateOnDemand;
       neyman.seed = options.seed + rep;
       UtilitySession neyman_session(&cache);
       Result<ValuationResult> v =
-          StratifiedSamplingShapley(neyman_session, neyman);
+          AdaptiveStratifiedShapley(neyman_session, neyman);
       if (!v.ok()) return 1;
       neyman_sum += RelativeL2Error(exact, v->values);
+      neyman_coalitions += static_cast<double>(v->num_trainings);
     }
-    const double uniform_err = uniform_sum / repeats;
-    const double neyman_err = neyman_sum / repeats;
-    table.AddRow({std::to_string(budget), FormatDouble(uniform_err, 4),
-                  FormatDouble(neyman_err, 4),
-                  FormatDouble(uniform_err / std::max(neyman_err, 1e-12),
-                               2) +
-                      "x"});
+    table.AddRow({std::to_string(budget),
+                  FormatDouble(uniform_sum / repeats, 4),
+                  FormatDouble(uniform_coalitions / repeats, 1),
+                  FormatDouble(neyman_sum / repeats, 4),
+                  FormatDouble(neyman_coalitions / repeats, 1)});
   }
   table.Print(std::cout);
-  std::printf("\n(ratio > 1: Neyman allocation helps on this utility)\n");
+  std::printf(
+      "\n(both arms cap stratum k at C(n, k) rounds drawn with replacement:"
+      "\n flat errors mean the strata are at their caps, not that the"
+      "\n allocators tie; see the header of this file)\n");
   return 0;
 }

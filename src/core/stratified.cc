@@ -145,67 +145,6 @@ std::vector<int> SmallestFirstAllocation(int n, int total_rounds) {
   return allocation;
 }
 
-Result<std::vector<int>> NeymanAllocation(UtilitySession& session,
-                                          int total_rounds,
-                                          int pilot_per_stratum,
-                                          uint64_t seed) {
-  const int n = session.num_clients();
-  if (n < 1) return Status::InvalidArgument("need at least one client");
-  if (pilot_per_stratum < 2) {
-    return Status::InvalidArgument("pilot needs >= 2 samples per stratum");
-  }
-  if (total_rounds < 2 * n * pilot_per_stratum) {
-    return Status::InvalidArgument(
-        "total_rounds too small for the requested pilot");
-  }
-  Rng rng(seed);
-
-  // Pilot: estimate the stddev of marginal contributions per stratum from
-  // a few sampled (S, S \ {i}) pairs, accumulated as StratumMoments —
-  // the same statistics the adaptive estimator keeps running.
-  std::vector<StratumMoments> pilot(n);
-  std::vector<double> sigma(n, 0.0);
-  int pilot_evaluations = 0;
-  for (int k = 1; k <= n; ++k) {
-    for (int p = 0; p < pilot_per_stratum; ++p) {
-      Coalition s = RandomSubsetOfSize(n, k, rng);
-      const std::vector<int> members = s.Members();
-      const int i = members[rng.UniformInt(members.size())];
-      FEDSHAP_ASSIGN_OR_RETURN(const double u_s, session.Evaluate(s));
-      FEDSHAP_ASSIGN_OR_RETURN(const double u_without,
-                               session.Evaluate(s.Without(i)));
-      pilot[k - 1].Add(u_s - u_without);
-      pilot_evaluations += 2;
-    }
-    sigma[k - 1] = pilot[k - 1].StdDev();
-  }
-
-  // Neyman split of the remaining budget: m_k ~ sigma_k (equal stratum
-  // weights in the SV average). Degenerate pilots fall back to uniform.
-  const int remaining = total_rounds - pilot_evaluations;
-  double sigma_total = 0.0;
-  for (double s : sigma) sigma_total += s;
-  std::vector<int> allocation(n, 0);
-  if (sigma_total <= 0.0) {
-    return DefaultStratumAllocation(n, remaining);
-  }
-  int assigned = 0;
-  for (int k = 0; k < n; ++k) {
-    allocation[k] = static_cast<int>(remaining * sigma[k] / sigma_total);
-    assigned += allocation[k];
-  }
-  // Distribute rounding leftovers to the highest-sigma strata.
-  while (assigned < remaining) {
-    int best = 0;
-    for (int k = 1; k < n; ++k) {
-      if (sigma[k] > sigma[best]) best = k;
-    }
-    ++allocation[best];
-    ++assigned;
-  }
-  return allocation;
-}
-
 Result<ValuationResult> StratifiedSamplingShapley(
     UtilitySession& session, const StratifiedConfig& config) {
   const int n = session.num_clients();

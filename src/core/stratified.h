@@ -115,19 +115,6 @@ Result<ValuationResult> PerClientStratifiedShapley(
 /// instance.
 std::vector<int> SmallestFirstAllocation(int n, int total_rounds);
 
-/// Pilot-based Neyman allocation (an extension hook — Alg. 1 deliberately
-/// imposes no constraint on the m_k): spends `pilot_per_stratum` sampled
-/// marginal contributions per stratum to estimate each stratum's standard
-/// deviation, then splits the remaining budget proportionally to the
-/// estimated sigmas (classic Neyman allocation with equal stratum
-/// weights). The pilot evaluations go through `session` and are charged
-/// like any others. Returns m_1..m_n summing to at most `total_rounds`
-/// (the pilot included).
-Result<std::vector<int>> NeymanAllocation(UtilitySession& session,
-                                          int total_rounds,
-                                          int pilot_per_stratum,
-                                          uint64_t seed);
-
 // ---------------------------------------------------------------------------
 // Adaptive allocation (ROADMAP item 2)
 

@@ -17,10 +17,14 @@ namespace fedshap {
 ///
 ///   - kScalar:  the portable blocked loops (compiler autovectorized at
 ///               the build's baseline ISA) — always available, and the
-///               reference every vector backend is tested against;
-///   - kAvx2:    explicit AVX2+FMA micro-kernels (8-lane);
-///   - kAvx512:  explicit AVX-512F micro-kernels (16-lane), only when
-///               both the compiler and the CPU support it.
+///               reference the vector backend is tested against;
+///   - kAvx2:    explicit AVX2+FMA micro-kernels (8-lane), when both the
+///               compiler and the CPU support it.
+///
+/// There is one hand-written vector source per ISA family. x86 hosts
+/// with 16-lane vector units run the AVX2 backend too: a 16-lane
+/// variant measured no faster end to end and slower GEMM at the MLP's
+/// layer shapes (see docs/ARCHITECTURE.md).
 ///
 /// **Determinism contract.** The selected backend never changes *which*
 /// coalition is trained, any workload fingerprint, or the sequence of
@@ -38,14 +42,14 @@ namespace fedshap {
 /// tests do exactly this).
 ///
 /// Override order: SetKernelBackend() > FEDSHAP_KERNEL_BACKEND env var
-/// ("scalar" | "avx2" | "avx512" | "auto") > CPUID auto-detection.
+/// ("scalar" | "avx2" | "auto") > CPUID auto-detection. An unrecognized
+/// env value logs a warning and falls back to auto-detection.
 enum class KernelBackend {
   kScalar = 0,  ///< Portable blocked loops; always available reference.
   kAvx2 = 1,    ///< Explicit AVX2+FMA micro-kernels (8-lane).
-  kAvx512 = 2,  ///< Explicit AVX-512F micro-kernels (16-lane).
 };
 
-/// Human-readable backend name ("scalar", "avx2", "avx512").
+/// Human-readable backend name ("scalar", "avx2").
 const char* KernelBackendName(KernelBackend backend);
 
 /// Parses a backend name as accepted by FEDSHAP_KERNEL_BACKEND. "auto"

@@ -9,9 +9,11 @@ namespace internal {
 /// \file
 /// Library-internal plumbing of the SIMD kernel dispatch (see
 /// ml/kernel_backend.h for the public contract). Each backend is one
-/// translation unit compiled with its own ISA flags and exports exactly
-/// one KernelTable of function pointers; matrix.cc's public kernels call
-/// through the active table, which kernel_backend.cc binds at startup.
+/// translation unit compiled with its own ISA flags — the scalar
+/// reference (matrix.cc) and one vector source per ISA family
+/// (matrix_avx2.cc) — and exports exactly one KernelTable of function
+/// pointers; matrix.cc's public kernels call through the active table,
+/// which kernel_backend.cc binds at startup.
 
 /// Function-pointer table of the kernel bodies that have per-ISA
 /// implementations. Entries mirror the public kernels of ml/matrix.h;
@@ -48,15 +50,12 @@ struct KernelTable {
 };
 
 /// The portable scalar table (matrix.cc). Always present; also the
-/// reference the vector backends are tested against.
+/// reference the vector backend is tested against.
 const KernelTable& ScalarKernelTable();
 
 /// The AVX2+FMA table (matrix_avx2.cc), or nullptr when the build did
 /// not compile it. Callers must additionally check CPUID before binding.
 const KernelTable* Avx2KernelTable();
-
-/// The AVX-512F table (matrix_avx512.cc), or nullptr when not compiled.
-const KernelTable* Avx512KernelTable();
 
 /// The table the public kernels currently dispatch through. The first
 /// call triggers backend auto-selection (kernel_backend.cc).

@@ -131,6 +131,7 @@ void ClusterDispatcher::AddWorker(std::unique_ptr<FrameChannel> channel) {
   worker->last_seen = Clock::now();
   workers_.push_back(std::move(worker));
   ++stats_.workers_added;
+  LeaveDegradedLocked();
   const size_t index = workers_.size() - 1;
   WorkerState& state = *workers_[index];
   state.receiver = std::thread(
@@ -191,17 +192,33 @@ bool ClusterDispatcher::HasSchedulableWorkerLocked() const {
 bool ClusterDispatcher::WaitForWorkerLocked(
     std::unique_lock<std::mutex>& lock) {
   if (HasSchedulableWorkerLocked()) return true;
-  if (options_.degraded_grace_ms <= 0) return false;
+  // One grace window per outage, not per coalition: once a window has
+  // expired, later evaluations fail at once until a worker registers or
+  // a breaker closes.
+  if (degraded_ || options_.degraded_grace_ms <= 0) return false;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(options_.degraded_grace_ms);
-  while (!stopping_) {
+  while (!stopping_ && !degraded_) {
     if (workers_changed_.wait_until(lock, deadline) ==
         std::cv_status::timeout) {
-      return HasSchedulableWorkerLocked();
+      if (HasSchedulableWorkerLocked()) return true;
+      degraded_ = true;
+      FEDSHAP_LOG(Warning) << "[cluster] no schedulable worker for "
+                           << options_.degraded_grace_ms
+                           << "ms; degraded until a worker recovers";
+      workers_changed_.notify_all();  // concurrent waiters share the window
+      return false;
     }
     if (HasSchedulableWorkerLocked()) return true;
   }
-  return false;
+  return HasSchedulableWorkerLocked();
+}
+
+void ClusterDispatcher::LeaveDegradedLocked() {
+  if (!degraded_) return;
+  degraded_ = false;
+  FEDSHAP_LOG(Info) << "[cluster] schedulable worker back; leaving degraded "
+                       "mode";
 }
 
 int ClusterDispatcher::PickWorkerLocked(const Coalition& coalition) const {
@@ -380,6 +397,7 @@ void ClusterDispatcher::BreakerSuccessLocked(size_t index) {
     worker.breaker = BreakerState::kClosed;
     FEDSHAP_LOG(Info) << "[cluster] worker " << index
                       << " breaker closed after successful probe";
+    LeaveDegradedLocked();
     workers_changed_.notify_all();
   }
 }
@@ -530,6 +548,7 @@ void ClusterDispatcher::HandleRegistration(
       return;
     }
     state.alive = true;
+    LeaveDegradedLocked();
     if (state.generation > 1) {
       ++stats_.worker_reconnects;
       stats_.recovery_seconds_total +=

@@ -134,7 +134,11 @@ struct ClusterStats {
 ///  - when no schedulable worker exists for `degraded_grace_ms`,
 ///    Evaluate fails with Unavailable — the signal ClusterUtility turns
 ///    into a local (coordinator-side) training, so the service keeps
-///    producing bit-identical values through a total partition.
+///    producing bit-identical values through a total partition. The
+///    expiry latches a degraded state: later evaluations fail at once,
+///    without a grace window of their own, until a worker registers or
+///    a breaker closes, so an outage costs one window, not one per
+///    coalition.
 ///
 /// Thread-safe; Evaluate() may be called from many coordinator threads.
 class ClusterDispatcher {
@@ -163,7 +167,8 @@ class ClusterDispatcher {
     int breaker_cooldown_ms = 1000;
     /// How long Evaluate waits for any schedulable worker to (re)appear
     /// before giving up with Unavailable (the degraded-mode trigger).
-    /// 0 degrades immediately.
+    /// Waited once per outage, not per evaluation. 0 degrades
+    /// immediately.
     int degraded_grace_ms = 0;
   };
 
@@ -286,9 +291,12 @@ class ClusterDispatcher {
   // All *Locked methods require mutex_ held.
   bool SchedulableLocked(const WorkerState& worker) const;
   bool HasSchedulableWorkerLocked() const;
-  /// Waits up to degraded_grace_ms for a schedulable worker. Returns
-  /// whether one exists on exit.
+  /// Waits up to degraded_grace_ms for a schedulable worker, latching
+  /// `degraded_` on expiry; returns false at once while latched.
+  /// Returns whether a schedulable worker exists on exit.
   bool WaitForWorkerLocked(std::unique_lock<std::mutex>& lock);
+  /// Clears the degraded latch (a worker registered or a breaker closed).
+  void LeaveDegradedLocked();
   int PickWorkerLocked(const Coalition& coalition) const;
   Status AssignLocked(uint64_t task_id, PendingTask& task, int worker);
   void MarkWorkerDeadLocked(size_t index);
@@ -315,6 +323,8 @@ class ClusterDispatcher {
   std::thread acceptor_;
   bool stopping_ = false;
   bool shut_down_ = false;
+  /// Latched when a degraded grace window expires; see Options.
+  bool degraded_ = false;
 };
 
 /// A UtilityFunction whose evaluations are computed by the cluster: the

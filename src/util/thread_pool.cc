@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdlib>
 
@@ -13,6 +15,44 @@ namespace {
 /// ParallelFor consults it to fall back to an inline loop instead of
 /// deadlocking when re-entered from one of its own workers.
 thread_local const ThreadPool* t_current_pool = nullptr;
+
+/// SharedTrainingPool()'s pool, guarded by g_shared_pool_mutex.
+ThreadPool* g_shared_pool = nullptr;
+std::mutex g_shared_pool_mutex;
+
+}  // namespace
+
+/// fork() copies only the calling thread. A child that kept the shared
+/// training pool would queue its FedAvg client trainings on workers that
+/// do not exist and wait forever, and a child that kept the global
+/// budget's leases would count slots held by threads that are gone.
+/// These pthread_atfork handlers hold both locks across fork() so the
+/// child never copies them mid-update. The child then abandons the
+/// inherited pool (leaked: its threads cannot be joined), so its next
+/// SharedTrainingPool() call builds a fresh one, and returns every
+/// leased slot.
+struct ForkHandlers {
+  static void Prepare() {
+    WorkerBudget::Global().mutex_.lock();
+    g_shared_pool_mutex.lock();
+  }
+  static void Parent() {
+    g_shared_pool_mutex.unlock();
+    WorkerBudget::Global().mutex_.unlock();
+  }
+  static void Child() {
+    g_shared_pool = nullptr;
+    g_shared_pool_mutex.unlock();
+    WorkerBudget& budget = WorkerBudget::Global();
+    budget.in_use_ = 0;
+    budget.mutex_.unlock();
+  }
+};
+
+namespace {
+
+[[maybe_unused]] const int g_fork_handlers_installed = pthread_atfork(
+    ForkHandlers::Prepare, ForkHandlers::Parent, ForkHandlers::Child);
 
 }  // namespace
 
@@ -139,8 +179,11 @@ void WorkerBudget::Release(int granted) {
 }
 
 ThreadPool* SharedTrainingPool() {
-  static ThreadPool* pool = new ThreadPool(ThreadPool::DefaultThreads());
-  return pool;
+  std::lock_guard<std::mutex> lock(g_shared_pool_mutex);
+  if (g_shared_pool == nullptr) {
+    g_shared_pool = new ThreadPool(ThreadPool::DefaultThreads());
+  }
+  return g_shared_pool;
 }
 
 void ThreadPool::WorkerLoop() {

@@ -130,7 +130,8 @@ class WorkerBudget {
   /// Slots currently leased.
   int in_use() const;
   /// Re-sizes the budget (tests; clamped to >= 1). Outstanding leases
-  /// keep their grants.
+  /// keep their grants. A fork()ed child starts with no slots leased:
+  /// the threads that held them do not exist in the child.
   void SetTotal(int total);
 
   /// Grants min(wanted, free) slots without blocking; returns the grant
@@ -164,6 +165,8 @@ class WorkerBudget {
   };
 
  private:
+  friend struct ForkHandlers;  // thread_pool.cc: resets leases in a child
+
   mutable std::mutex mutex_;
   int total_;
   int in_use_ = 0;
@@ -174,7 +177,8 @@ class WorkerBudget {
 /// Callers coordinate via TaskGroup and size their fan-out by a
 /// WorkerBudget lease; the pool itself is never waited on globally.
 /// Intentionally leaked: it must outlive every static destructor that
-/// might still train.
+/// might still train. A fork()ed child does not inherit it: its first
+/// call builds a fresh pool, since the parent's workers are not copied.
 ThreadPool* SharedTrainingPool();
 
 }  // namespace fedshap

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -113,67 +112,6 @@ TEST(PartitionDirichletTest, Validation) {
   Result<Dataset> regression = GenerateRegression(reg, 100, rng);
   ASSERT_TRUE(regression.ok());
   EXPECT_FALSE(PartitionDirichlet(*regression, 3, 0.5, rng).ok());
-}
-
-TEST(NeymanAllocationTest, SpendsBudgetAndCoversStrata) {
-  LinearRegressionUtility::Params params;
-  params.num_clients = 5;
-  LinearRegressionUtility utility(params);
-  UtilityCache cache(&utility);
-  UtilitySession session(&cache);
-  Result<std::vector<int>> allocation =
-      NeymanAllocation(session, 60, 3, 1);
-  ASSERT_TRUE(allocation.ok());
-  ASSERT_EQ(allocation->size(), 5u);
-  int total = std::accumulate(allocation->begin(), allocation->end(), 0);
-  // Remaining budget (60 - pilot evals) is fully assigned.
-  EXPECT_EQ(total, 60 - 2 * 3 * 5);
-}
-
-TEST(NeymanAllocationTest, FavorsHighVarianceStrata) {
-  // Noisy linear-regression utility: the deterministic mean jump from
-  // stratum 0 -> 1 dominates the marginal variance at stratum 1 because
-  // different coalitions there have different members (eta_i differs).
-  LinearRegressionUtility::Params params;
-  params.num_clients = 6;
-  params.noise_scale = 0.02;
-  LinearRegressionUtility utility(params);
-  UtilityCache cache(&utility);
-  UtilitySession session(&cache);
-  Result<std::vector<int>> allocation =
-      NeymanAllocation(session, 400, 6, 2);
-  ASSERT_TRUE(allocation.ok());
-  // All strata have noise of similar magnitude; allocation must be
-  // positive-total and finite.
-  int total = std::accumulate(allocation->begin(), allocation->end(), 0);
-  EXPECT_GT(total, 0);
-}
-
-TEST(NeymanAllocationTest, Validation) {
-  LinearRegressionUtility::Params params;
-  params.num_clients = 4;
-  LinearRegressionUtility utility(params);
-  UtilityCache cache(&utility);
-  UtilitySession session(&cache);
-  EXPECT_FALSE(NeymanAllocation(session, 100, 1, 1).ok());   // pilot < 2
-  EXPECT_FALSE(NeymanAllocation(session, 10, 3, 1).ok());    // budget small
-}
-
-TEST(NeymanAllocationTest, FeedsIntoStratifiedSampling) {
-  TableUtility table = testing_util::MonotoneTable(5);
-  UtilityCache cache(&table);
-  UtilitySession alloc_session(&cache);
-  Result<std::vector<int>> allocation =
-      NeymanAllocation(alloc_session, 80, 2, 3);
-  ASSERT_TRUE(allocation.ok());
-  StratifiedConfig config;
-  config.rounds_per_stratum = *allocation;
-  config.seed = 4;
-  UtilitySession run_session(&cache);
-  Result<ValuationResult> result =
-      StratifiedSamplingShapley(run_session, config);
-  ASSERT_TRUE(result.ok());
-  for (double v : result->values) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST(ValuationReportTest, RenderContainsEverything) {

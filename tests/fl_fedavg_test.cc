@@ -1,5 +1,13 @@
 #include "fl/fedavg.h"
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <functional>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -8,6 +16,18 @@
 #include "fl/training_log.h"
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
+
+// The fork tests below start threads in the child of a multi-threaded
+// process, which ThreadSanitizer aborts by default (die_after_fork=1).
+// A child that trains over a fresh pool is the behaviour under test, so
+// this binary turns that abort off under TSan.
+#if defined(__SANITIZE_THREAD__)
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
+#endif
+#endif
 
 namespace fedshap {
 namespace {
@@ -193,6 +213,76 @@ TEST(TrainFedAvgTest, ParallelClientTrainingMatchesLog) {
     EXPECT_EQ(sequential_log.rounds[r].client_deltas,
               parallel_log.rounds[r].client_deltas);
   }
+}
+
+/// Runs `body` in a fork()ed child and returns its exit code, or -1
+/// when the child has not exited within `timeout` (it is then killed).
+int ExitCodeOfForkedChild(const std::function<int()>& body,
+                          std::chrono::seconds timeout) {
+  const pid_t pid = fork();
+  if (pid < 0) return -2;
+  if (pid == 0) _exit(body());
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  int status = 0;
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -3;
+}
+
+TEST(TrainFedAvgTest, ForkedChildFansOutOverAFreshSharedPool) {
+  // fork() copies only the calling thread. A child that kept the warmed
+  // shared training pool would queue its client trainings on workers
+  // that do not exist and wait forever; it must build a fresh pool.
+  LogisticRegression prototype = MakePrototype(33);
+  std::vector<FlClient> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.emplace_back(i, MakeBlobData(60 + 10 * i, 300 + i));
+  }
+  std::vector<const FlClient*> members;
+  for (const FlClient& client : clients) members.push_back(&client);
+  FedAvgConfig config;
+  config.rounds = 2;
+
+  const int entry_total = WorkerBudget::Global().total();
+  WorkerBudget::Global().SetTotal(8);
+  const int entry_cap = FedAvgClientParallelism();
+  SetFedAvgClientParallelism(0);
+  Result<std::unique_ptr<Model>> reference =
+      TrainFedAvg(prototype, members, config);  // warms the shared pool
+  ASSERT_TRUE(reference.ok());
+  const std::vector<float> expected = (*reference)->GetParameters();
+
+  const int exit_code = ExitCodeOfForkedChild(
+      [&] {
+        Result<std::unique_ptr<Model>> model =
+            TrainFedAvg(prototype, members, config);
+        if (!model.ok()) return 2;
+        return (*model)->GetParameters() == expected ? 0 : 3;
+      },
+      std::chrono::seconds(30));
+  SetFedAvgClientParallelism(entry_cap);
+  WorkerBudget::Global().SetTotal(entry_total);
+  EXPECT_NE(exit_code, -1) << "forked child hung in TrainFedAvg";
+  EXPECT_EQ(exit_code, 0);
+}
+
+TEST(TrainFedAvgTest, ForkedChildInheritsNoBudgetLeases) {
+  // A slot leased by another parent thread belongs to a thread the child
+  // does not have; the child must see every slot free.
+  int granted = 0;
+  std::thread([&] { granted = WorkerBudget::Global().TryAcquire(1); }).join();
+  ASSERT_EQ(granted, 1);
+  const int exit_code = ExitCodeOfForkedChild(
+      [] { return WorkerBudget::Global().in_use() == 0 ? 0 : 2; },
+      std::chrono::seconds(30));
+  WorkerBudget::Global().Release(granted);
+  EXPECT_EQ(exit_code, 0);
 }
 
 TEST(TrainFedAvgTest, ZeroRoundsReturnsInitialModel) {

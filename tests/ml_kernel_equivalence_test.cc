@@ -9,13 +9,19 @@
 /// match to float rounding.
 ///
 /// The whole suite is *parameterized over every kernel backend this
-/// machine can execute* (scalar, AVX2, AVX-512 — see
-/// ml/kernel_backend.h): each TEST_P below runs once per backend with
-/// the dispatch table pinned to it, so a vector backend that drifts
-/// from the contract fails here by name. Element-wise kernels are
-/// additionally cross-checked *bitwise* against the scalar backend.
+/// machine can execute* (scalar, AVX2 — see ml/kernel_backend.h): each
+/// TEST_P below runs once per backend with the dispatch table pinned to
+/// it, so a vector backend that drifts from the contract fails here by
+/// name. Element-wise kernels are additionally cross-checked *bitwise*
+/// against the scalar backend.
+/// The backend-selection tests at the end pin the accepted names and the
+/// FEDSHAP_KERNEL_BACKEND fallback.
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,9 +63,7 @@ void ExpectAllClose(const std::vector<float>& actual,
 /// Every backend compiled into this binary that the CPU can execute.
 std::vector<KernelBackend> AvailableBackends() {
   std::vector<KernelBackend> backends;
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2,
-        KernelBackend::kAvx512}) {
+  for (KernelBackend backend : {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (KernelBackendAvailable(backend)) backends.push_back(backend);
   }
   return backends;
@@ -557,6 +561,65 @@ TEST(CrossBackendEquivalence, FixedBackendIsDeterministicAcrossRuns) {
       EXPECT_EQ(first[i], second[i]) << "element " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Backend selection: the accepted names and the FEDSHAP_KERNEL_BACKEND
+// fallback.
+
+/// The deleted AVX-512 backend's name, which a deployment may still
+/// carry in FEDSHAP_KERNEL_BACKEND.
+const std::string kRetiredBackendName = "avx512";
+
+TEST(KernelBackendSelection, ParseAcceptsOnlyScalarAvx2Auto) {
+  EXPECT_EQ(ParseKernelBackend("scalar").value(), KernelBackend::kScalar);
+  EXPECT_EQ(ParseKernelBackend("avx2").value(), KernelBackend::kAvx2);
+  EXPECT_EQ(ParseKernelBackend("auto").value(), AutoDetectKernelBackend());
+  Result<KernelBackend> retired = ParseKernelBackend(kRetiredBackendName);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retired.status().message().find("(expected scalar | avx2 | auto)"),
+            std::string::npos)
+      << retired.status().message();
+}
+
+/// Startup selection binds the FEDSHAP_KERNEL_BACKEND backend when it
+/// names one this machine can run, and auto-detection otherwise. Every
+/// other test restores the startup backend, so this holds at any point
+/// of the run; the subprocess test below re-runs it under a chosen env.
+TEST(KernelBackendSelection, StartupSelectionFollowsEnvOrAutoDetection) {
+  KernelBackend expected = AutoDetectKernelBackend();
+  if (const char* env = std::getenv("FEDSHAP_KERNEL_BACKEND")) {
+    Result<KernelBackend> parsed = ParseKernelBackend(env);
+    if (parsed.ok() && KernelBackendAvailable(parsed.value())) {
+      expected = parsed.value();
+    }
+  }
+  EXPECT_EQ(SelectedKernelBackend(), expected);
+}
+
+TEST(KernelBackendSelection, RetiredNameInEnvBindsAutoDetectedBackend) {
+  // Selection happens once per process, so re-run the test above in a
+  // fresh copy of this binary with the retired name in its environment.
+  const std::string pin = "FEDSHAP_KERNEL_BACKEND=" + kRetiredBackendName;
+  const std::string command =
+      pin + " FEDSHAP_LOG_LEVEL=info '" +
+      std::filesystem::read_symlink("/proc/self/exe").string() +
+      "' --gtest_filter=KernelBackendSelection."
+      "StartupSelectionFollowsEnvOrAutoDetection 2>&1";
+  FILE* child = popen(command.c_str(), "r");
+  ASSERT_NE(child, nullptr);
+  std::string output;
+  char buf[4096];
+  for (size_t got; (got = fread(buf, 1, sizeof(buf), child)) > 0;) {
+    output.append(buf, got);
+  }
+  EXPECT_EQ(pclose(child), 0) << output;
+  EXPECT_NE(output.find("[  PASSED  ] 1 test."), std::string::npos)
+      << output;
+  EXPECT_NE(output.find(pin + " not recognized; using auto detection"),
+            std::string::npos)
+      << output;
 }
 
 // ---------------------------------------------------------------------------

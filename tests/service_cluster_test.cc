@@ -7,10 +7,12 @@
 // to drive through the binary; the shell test remains as a smoke
 // wrapper over fedshapd itself.
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -615,6 +617,82 @@ TEST(ClusterDegradedTest, TotalOutageServesBitIdenticalValuesLocally) {
   const ClusterStats stats = fixture->cluster_stats();
   EXPECT_EQ(stats.results_applied, 0u);  // nothing came from a worker
   EXPECT_GE(stats.degraded_evaluations, reference.num_fresh_trainings);
+}
+
+// A total outage costs one grace window, not one per coalition: the
+// first expiry latches degraded mode and every later coalition trains
+// locally at once. Bounded by three windows plus the job's own local
+// training time (the isolated run), over a 64-coalition job.
+TEST(ClusterDegradedTest, TotalOutageCostsAboutOneGraceWindow) {
+  JobSpec job = MakeJob("job", EstimatorKind::kExactMc, LinregScenario(6));
+  const auto isolated_start = std::chrono::steady_clock::now();
+  const ValuationResult reference = RunIsolated(job);
+  const auto local_training = std::chrono::steady_clock::now() -
+                              isolated_start;
+  ASSERT_GE(reference.num_fresh_trainings, 50u);
+
+  ClusterFixture::Options options;
+  options.num_workers = 1;
+  options.heartbeat_timeout_ms = 500;
+  options.degraded_grace_ms = 200;
+  auto fixture = ClusterFixture::Start(options);
+  ASSERT_NE(fixture, nullptr);
+  fixture->KillWorker(0);
+  const auto start = std::chrono::steady_clock::now();
+  Result<ValuationResult> result = fixture->Run(job);
+  const auto outage_wall = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok()) << result.status();
+  ExpectBitIdentical(reference, *result, "degraded-outage-bound");
+  EXPECT_LT(outage_wall,
+            3 * std::chrono::milliseconds(options.degraded_grace_ms) +
+                local_training);
+
+  const ClusterStats stats = fixture->cluster_stats();
+  EXPECT_EQ(stats.results_applied, 0u);
+  EXPECT_GE(stats.degraded_evaluations, reference.num_fresh_trainings);
+}
+
+// The latch clears when a worker registers: the next outage waits out
+// a grace window of its own instead of failing at once.
+TEST(ClusterDegradedTest, WorkerRegistrationClearsTheDegradedLatch) {
+  const ScenarioSpec scenario = LinregScenario(4);
+  Result<std::unique_ptr<UtilityFunction>> local = scenario.Build();
+  ASSERT_TRUE(local.ok());
+  ClusterDispatcher::Options options;
+  options.degraded_grace_ms = 200;
+  ClusterDispatcher dispatcher(options);
+  Result<int> port = dispatcher.ListenAndServe({"127.0.0.1", 0});
+  ASSERT_TRUE(port.ok()) << port.status();
+  dispatcher.RegisterWorkload("w", scenario, (*local)->Fingerprint());
+  const Coalition coalition = Coalition::Of({0, 1});
+  const auto unavailable_after = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(dispatcher.Evaluate("w", coalition).status().code(),
+              StatusCode::kUnavailable);
+    return std::chrono::steady_clock::now() - start;
+  };
+  const auto wait_for_live = [&](size_t live) {
+    for (int i = 0; i < 1000 && dispatcher.live_workers() != live; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(dispatcher.live_workers(), live);
+  };
+  const std::chrono::milliseconds grace(options.degraded_grace_ms);
+  EXPECT_GE(unavailable_after(), grace);  // the outage's one window
+  EXPECT_LT(unavailable_after(), grace);  // latched: no second window
+
+  TcpWorkerClientOptions client_options;
+  client_options.endpoint = {"127.0.0.1", *port};
+  client_options.worker.shard = -1;
+  TcpWorkerClient client(client_options);
+  std::thread serving([&] { (void)client.Run(); });
+  wait_for_live(1);
+  EXPECT_TRUE(dispatcher.Evaluate("w", coalition).ok());
+  client.Stop();
+  serving.join();
+  wait_for_live(0);
+  EXPECT_GE(unavailable_after(), grace);  // a new outage, a new window
+  dispatcher.Shutdown();
 }
 
 // Mid-job outage: the worker dies partway through. Work done before the

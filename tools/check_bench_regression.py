@@ -237,7 +237,7 @@ def self_test() -> int:
         check("renamed record tolerated", run_gate(args) == 0)
 
         write(cur_dir, "BENCH_a.json",
-              [dict(rec, backend="avx512", wall_seconds=99.0)])
+              [dict(rec, backend="scalar", wall_seconds=99.0)])
         check("different label is a different record", run_gate(args) == 0)
 
         write(cur_dir, "BENCH_a.json",
