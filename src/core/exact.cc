@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/resumable.h"
 #include "util/combinatorics.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -11,53 +12,26 @@ namespace fedshap {
 
 namespace {
 
-constexpr int kMaxExactClients = 25;
-
-/// Builds the coalition whose members are the set bits of `mask`.
-Coalition FromMask(uint64_t mask, int n) {
-  Coalition c;
-  for (int i = 0; i < n; ++i) {
-    if ((mask >> i) & 1ULL) c.Add(i);
-  }
-  return c;
-}
-
-/// Evaluates U on every subset of {0..n-1}; index = bitmask. The sweep is
-/// fed to the session in chunks so the thread pool sees thousands of
-/// independent evaluations at a time while the Coalition scratch buffer
-/// stays small (2^25 coalitions at once would be ~1 GiB).
+/// Evaluates U on every subset of {0..n-1} as one batch; index = bitmask.
 Result<std::vector<double>> EvaluateAllSubsets(UtilitySession& session,
                                                int n) {
   const uint64_t total = 1ULL << n;
-  constexpr uint64_t kChunk = 1ULL << 13;
-  std::vector<double> utilities(total, 0.0);
-  std::vector<Coalition> chunk;
-  for (uint64_t begin = 0; begin < total; begin += kChunk) {
-    const uint64_t end = std::min(total, begin + kChunk);
-    chunk.clear();
-    for (uint64_t mask = begin; mask < end; ++mask) {
-      chunk.push_back(FromMask(mask, n));
+  std::vector<Coalition> subsets;
+  subsets.reserve(total);
+  for (uint64_t mask = 0; mask < total; ++mask) {
+    Coalition c;
+    for (int i = 0; i < n; ++i) {
+      if ((mask >> i) & 1ULL) c.Add(i);
     }
-    FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> values,
-                             session.EvaluateBatch(chunk));
-    std::copy(values.begin(), values.end(),
-              utilities.begin() + static_cast<ptrdiff_t>(begin));
+    subsets.push_back(c);
   }
-  return utilities;
+  return session.EvaluateBatch(subsets);
 }
 
 }  // namespace
 
 Result<ValuationResult> ExactShapleyMc(UtilitySession& session) {
-  const int n = session.num_clients();
-  if (n < 1 || n > kMaxExactClients) {
-    return Status::InvalidArgument("exact SV requires 1 <= n <= 25");
-  }
-  Stopwatch timer;
-  FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> u,
-                           EvaluateAllSubsets(session, n));
-  return FinishValuation(McShapleyFromSubsetUtilities(n, u), session,
-                         timer.ElapsedSeconds());
+  return ExactSweep(session.num_clients(), SvScheme::kMarginal).Run(session);
 }
 
 std::vector<double> McShapleyFromSubsetUtilities(
@@ -78,15 +52,8 @@ std::vector<double> McShapleyFromSubsetUtilities(
 }
 
 Result<ValuationResult> ExactShapleyCc(UtilitySession& session) {
-  const int n = session.num_clients();
-  if (n < 1 || n > kMaxExactClients) {
-    return Status::InvalidArgument("exact SV requires 1 <= n <= 25");
-  }
-  Stopwatch timer;
-  FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> u,
-                           EvaluateAllSubsets(session, n));
-  return FinishValuation(CcShapleyFromSubsetUtilities(n, u), session,
-                         timer.ElapsedSeconds());
+  return ExactSweep(session.num_clients(), SvScheme::kComplementary)
+      .Run(session);
 }
 
 std::vector<double> CcShapleyFromSubsetUtilities(

@@ -12,13 +12,13 @@ namespace fedshap {
 /// Exact Shapley value via the marginal-contribution scheme (Def. 3,
 /// Eq. 4): evaluates U on all 2^n coalitions. This is the paper's
 /// "MC-Shapley" baseline and the ground truth of every experiment.
-/// Requires n <= 25.
+/// Requires n <= 20. Runs ExactSweep (core/resumable.h) to completion.
 Result<ValuationResult> ExactShapleyMc(UtilitySession& session);
 
 /// Exact Shapley value via the complementary-contribution scheme (Def. 4,
 /// Eq. 5). Identical values to ExactShapleyMc (the schemes are equivalent
 /// expressions); exercised by tests and the scheme-comparison benches.
-/// Requires n <= 25.
+/// Requires n <= 20. Runs ExactSweep (core/resumable.h) to completion.
 Result<ValuationResult> ExactShapleyCc(UtilitySession& session);
 
 /// Exact Shapley value via the permutation definition ("Perm-Shapley"):
@@ -34,11 +34,10 @@ double EstimatePermShapleySeconds(int n, double tau);
 /// Projected cost of exact MC-Shapley: 2^n evaluations at `tau` seconds.
 double EstimateMcShapleySeconds(int n, double tau);
 
-/// The MC-scheme weight loop of ExactShapleyMc in isolation: exact SV
-/// from a full subset-utility table `u` where `u[mask]` is U(S) for the
-/// coalition whose members are the set bits of `mask` (2^n entries).
-/// Shared by the one-shot path and the resumable ExactMcSweep so both
-/// produce bit-identical values from the same utilities.
+/// The MC-scheme weight loop in isolation: exact SV from a full
+/// subset-utility table `u` where `u[mask]` is U(S) for the coalition
+/// whose members are the set bits of `mask` (2^n entries). ExactSweep
+/// finishes through it (or its CC counterpart below).
 std::vector<double> McShapleyFromSubsetUtilities(
     int n, const std::vector<double>& u);
 

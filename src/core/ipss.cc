@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "core/stratified.h"
+#include "core/resumable.h"
 #include "util/combinatorics.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -82,7 +81,8 @@ Result<ValuationResult> AdaptiveIpssShapley(
     IpssConfig step;
     step.total_rounds = gamma;
     step.seed = config.seed;
-    FEDSHAP_ASSIGN_OR_RETURN(current, IpssShapley(session, step));
+    FEDSHAP_ASSIGN_OR_RETURN(
+        current, IpssSweep(session.num_clients(), step).Run(session));
     if (!previous.empty()) {
       // Relative l2 change between consecutive estimates.
       double diff_sq = 0.0, norm_sq = 0.0;
@@ -100,132 +100,15 @@ Result<ValuationResult> AdaptiveIpssShapley(
     previous = current.values;
     gamma = std::min(config.max_rounds, gamma * 2);
   }
-  // The session accumulated every evaluation across doublings; override
-  // the last step's partial accounting with the session totals.
-  current.num_evaluations = session.num_evaluations();
-  current.num_trainings = session.num_distinct();
-  current.charged_seconds = session.charged_seconds();
+  // The session's counters already span every doubling; only the wall
+  // time of the last step needs widening to the whole loop.
   current.wall_seconds = timer.ElapsedSeconds();
   return current;
 }
 
 Result<ValuationResult> IpssShapley(UtilitySession& session,
                                     const IpssConfig& config) {
-  const int n = session.num_clients();
-  if (n < 1) return Status::InvalidArgument("need at least one client");
-  if (config.total_rounds < 1) {
-    return Status::InvalidArgument("total_rounds must be >= 1");
-  }
-  Stopwatch timer;
-  Rng rng(config.seed);
-
-  // ---- Line 1: the largest fully-evaluated stratum. ----
-  const int k_star = IpssKStar(n, config.total_rounds);
-  FEDSHAP_CHECK(k_star >= 0);  // total_rounds >= 1 admits the empty set
-
-  // ---- Lines 2-7: evaluate every coalition with <= k_star clients. ----
-  // The whole exhaustive prefix is one independent batch: the session fans
-  // it out over its thread pool (one FL training per coalition).
-  std::vector<Coalition> exhaustive;
-  for (int k = 0; k <= k_star; ++k) {
-    ForEachSubsetOfSize(n, k,
-                        [&](const Coalition& c) { exhaustive.push_back(c); });
-  }
-  FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> exhaustive_u,
-                           session.EvaluateBatch(exhaustive));
-  std::unordered_map<Coalition, double, CoalitionHash> utilities;
-  utilities.reserve(static_cast<size_t>(config.total_rounds));
-  for (size_t j = 0; j < exhaustive.size(); ++j) {
-    utilities.emplace(exhaustive[j], exhaustive_u[j]);
-  }
-  const uint64_t evaluated = exhaustive.size();
-
-  // ---- Lines 8-14: balanced sampling of the (k*+1)-stratum. ----
-  std::vector<Coalition> pruned_sample;
-  if (k_star + 1 <= n) {
-    const int remaining =
-        config.total_rounds - static_cast<int>(evaluated);
-    pruned_sample = BalancedCoalitionSample(n, k_star + 1, remaining, rng);
-    FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> pruned_u,
-                             session.EvaluateBatch(pruned_sample));
-    for (size_t j = 0; j < pruned_sample.size(); ++j) {
-      utilities.emplace(pruned_sample[j], pruned_u[j]);
-    }
-    // Observability: the sampled stratum's marginal-contribution spread,
-    // accumulated as the stratified framework's running moments (every
-    // pair S \ {i} has size k* and is exhaustively evaluated). The
-    // adaptive allocator (core/stratified.h) reads the same statistic
-    // when it decides where the next rounds go; here it tells an
-    // operator how noisy IPSS's one sampled stratum actually was.
-    StratumMoments pruned_moments;
-    for (size_t j = 0; j < pruned_sample.size(); ++j) {
-      for (int i : pruned_sample[j].Members()) {
-        const auto it = utilities.find(pruned_sample[j].Without(i));
-        if (it != utilities.end()) {
-          pruned_moments.Add(pruned_u[j] - it->second);
-        }
-      }
-    }
-    FEDSHAP_LOG(Debug) << "[ipss] pruned stratum k=" << (k_star + 1)
-                       << " samples=" << pruned_moments.count
-                       << " sigma=" << pruned_moments.StdDev();
-  }
-
-  // ---- Lines 15-17: MC-SV estimate over the evaluated coalitions. ----
-  FEDSHAP_ASSIGN_OR_RETURN(
-      std::vector<double> values,
-      IpssEstimateFromUtilities(n, k_star, utilities, pruned_sample));
-
-  return FinishValuation(std::move(values), session,
-                         timer.ElapsedSeconds());
-}
-
-Result<std::vector<double>> IpssEstimateFromUtilities(
-    int n, int k_star,
-    const std::unordered_map<Coalition, double, CoalitionHash>& utilities,
-    const std::vector<Coalition>& pruned_sample) {
-  const auto utility_of = [&utilities](const Coalition& c) -> Result<double> {
-    auto it = utilities.find(c);
-    if (it == utilities.end()) {
-      return Status::Internal("IPSS estimate is missing the utility of " +
-                              c.ToString());
-    }
-    return it->second;
-  };
-  std::vector<double> values(n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double total = 0.0;
-    // Exhaustive strata: S excludes i, |S| < k*; S u {i} has size <= k*,
-    // so both utilities are known.
-    for (int k = 0; k < k_star; ++k) {
-      const double weight = 1.0 / BinomialDouble(n - 1, k);
-      Status failed = Status::OK();
-      ForEachSubsetOfSize(n, k, [&](const Coalition& s) {
-        if (s.Contains(i) || !failed.ok()) return;
-        Result<double> with_i = utility_of(s.With(i));
-        Result<double> without = utility_of(s);
-        if (!with_i.ok() || !without.ok()) {
-          failed = with_i.ok() ? without.status() : with_i.status();
-          return;
-        }
-        total += weight * (*with_i - *without);
-      });
-      FEDSHAP_RETURN_NOT_OK(failed);
-    }
-    // Pruned stratum: S u {i} sampled in P, |S| = k*.
-    if (k_star < n) {
-      const double weight = 1.0 / BinomialDouble(n - 1, k_star);
-      for (const Coalition& p : pruned_sample) {
-        if (!p.Contains(i)) continue;
-        FEDSHAP_ASSIGN_OR_RETURN(const double u_p, utility_of(p));
-        FEDSHAP_ASSIGN_OR_RETURN(const double u_s,
-                                 utility_of(p.Without(i)));
-        total += weight * (u_p - u_s);
-      }
-    }
-    values[i] = total / n;
-  }
-  return values;
+  return IpssSweep(session.num_clients(), config).Run(session);
 }
 
 }  // namespace fedshap

@@ -1,7 +1,6 @@
 #ifndef FEDSHAP_CORE_IPSS_H_
 #define FEDSHAP_CORE_IPSS_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/valuation_result.h"
@@ -14,8 +13,8 @@ namespace fedshap {
 /// \file
 /// IPSS — the paper's contribution (Alg. 3): importance-pruned
 /// stratified sampling of the Shapley value, plus the adaptive-budget
-/// extension and the estimate-from-recorded-utilities helper shared
-/// with the resumable sweep layer (core/resumable.h).
+/// extension. The estimator itself is the resumable IpssSweep
+/// (core/resumable.h); the functions here run it to completion.
 
 /// Configuration of IPSS (Alg. 3).
 struct IpssConfig {
@@ -49,21 +48,10 @@ std::vector<Coalition> BalancedCoalitionSample(int n, int size, int count,
 ///
 /// Utility evaluations: at most `total_rounds` coalitions, exploiting the
 /// key-combinations phenomenon (small coalitions dominate the value).
+/// Runs IpssSweep (core/resumable.h) to completion, so a one-shot run and
+/// a checkpointed one evaluate the same plan and return the same bits.
 Result<ValuationResult> IpssShapley(UtilitySession& session,
                                     const IpssConfig& config);
-
-/// Phase 2 of IPSS in isolation: the MC-SV estimate (Alg. 3 lines 15-17)
-/// computed from already-evaluated utilities. `utilities` must contain
-/// every coalition of size <= k_star plus every member of
-/// `pruned_sample` (the sampled (k*+1)-stratum) and each sample's
-/// size-k* subsets obtained by removing one member. Shared by the
-/// one-shot IpssShapley and the resumable IpssSweep so both produce
-/// bit-identical estimates from the same evaluations. Fails with
-/// Internal when a required utility is missing.
-Result<std::vector<double>> IpssEstimateFromUtilities(
-    int n, int k_star,
-    const std::unordered_map<Coalition, double, CoalitionHash>& utilities,
-    const std::vector<Coalition>& pruned_sample);
 
 /// Configuration of the adaptive-budget IPSS extension.
 struct AdaptiveIpssConfig {
@@ -80,7 +68,8 @@ struct AdaptiveIpssConfig {
 
 /// Adaptive IPSS (extension; the paper leaves gamma as an input): runs
 /// IPSS with a doubling budget until the estimate stabilizes, so callers
-/// need not guess gamma. Thanks to the exhaustive-prefix structure of
+/// need not guess gamma. Each doubling is an IpssSweep run to completion
+/// on the same session. Thanks to the exhaustive-prefix structure of
 /// IPSS, every doubling reuses all previously evaluated coalitions (they
 /// are cached), so the total charged cost is essentially that of the final
 /// budget. Returns the final estimate; the session records the combined

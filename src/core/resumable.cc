@@ -49,6 +49,59 @@ Result<ByteReader> CheckSnapshotHeader(std::string_view snapshot,
   return reader;
 }
 
+/// Phase 2 of IPSS (Alg. 3 lines 15-17): the MC-SV estimate from the
+/// evaluated utilities. `utilities` must hold every coalition of size
+/// <= k_star plus every member of `pruned_sample` (the sampled
+/// (k*+1)-stratum); each sample's size-k* pairs are exhaustive. Fails
+/// with Internal when a required utility is missing.
+Result<std::vector<double>> IpssEstimateFromUtilities(
+    int n, int k_star,
+    const std::unordered_map<Coalition, double, CoalitionHash>& utilities,
+    const std::vector<Coalition>& pruned_sample) {
+  const auto utility_of = [&utilities](const Coalition& c) -> Result<double> {
+    auto it = utilities.find(c);
+    if (it == utilities.end()) {
+      return Status::Internal("IPSS estimate is missing the utility of " +
+                              c.ToString());
+    }
+    return it->second;
+  };
+  std::vector<double> values(n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    double total = 0.0;
+    // Exhaustive strata: S excludes i, |S| < k*; S u {i} has size <= k*,
+    // so both utilities are known.
+    for (int k = 0; k < k_star; ++k) {
+      const double weight = 1.0 / BinomialDouble(n - 1, k);
+      Status failed = Status::OK();
+      ForEachSubsetOfSize(n, k, [&](const Coalition& s) {
+        if (s.Contains(i) || !failed.ok()) return;
+        Result<double> with_i = utility_of(s.With(i));
+        Result<double> without = utility_of(s);
+        if (!with_i.ok() || !without.ok()) {
+          failed = with_i.ok() ? without.status() : with_i.status();
+          return;
+        }
+        total += weight * (*with_i - *without);
+      });
+      FEDSHAP_RETURN_NOT_OK(failed);
+    }
+    // Pruned stratum: S u {i} sampled in P, |S| = k*.
+    if (k_star < n) {
+      const double weight = 1.0 / BinomialDouble(n - 1, k_star);
+      for (const Coalition& p : pruned_sample) {
+        if (!p.Contains(i)) continue;
+        FEDSHAP_ASSIGN_OR_RETURN(const double u_p, utility_of(p));
+        FEDSHAP_ASSIGN_OR_RETURN(const double u_s,
+                                 utility_of(p.Without(i)));
+        total += weight * (u_p - u_s);
+      }
+    }
+    values[i] = total / n;
+  }
+  return values;
+}
+
 }  // namespace
 
 Result<ValuationResult> ResumableEstimator::Run(UtilitySession& session) {
@@ -226,8 +279,8 @@ IpssSweep::IpssSweep(int n, const IpssConfig& config)
     FailInit(Status::InvalidArgument("total_rounds must be >= 1"));
     return;
   }
-  // Mirrors IpssShapley exactly: exhaustive strata up to k*, then the
-  // balanced sample of the (k*+1)-stratum drawn from Rng(seed).
+  // Alg. 3 lines 1-14: exhaustive strata up to k*, then the balanced
+  // sample of the (k*+1)-stratum drawn from Rng(seed).
   k_star_ = IpssKStar(n, config.total_rounds);
   FEDSHAP_CHECK(k_star_ >= 0);
   std::vector<Coalition> plan;
@@ -266,7 +319,29 @@ Result<std::vector<double>> IpssSweep::Estimate(UtilitySession&) const {
   const std::vector<Coalition> pruned_sample(
       plan_.begin() + static_cast<ptrdiff_t>(exhaustive_count_),
       plan_.end());
-  return IpssEstimateFromUtilities(n_, k_star_, utilities, pruned_sample);
+  FEDSHAP_ASSIGN_OR_RETURN(
+      std::vector<double> values,
+      IpssEstimateFromUtilities(n_, k_star_, utilities, pruned_sample));
+  if (k_star_ < n_ && GetLogLevel() <= LogLevel::kDebug) {
+    // Observability: the sampled stratum's marginal-contribution spread,
+    // accumulated as the stratified framework's running moments (every
+    // pair S \ {i} has size k* and is exhaustively evaluated). The
+    // adaptive allocator (core/stratified.h) reads the same statistic
+    // when it decides where the next rounds go; here it tells an
+    // operator how noisy IPSS's one sampled stratum actually was. The
+    // estimate above succeeded, so every lookup below is present.
+    StratumMoments pruned_moments;
+    for (const Coalition& p : pruned_sample) {
+      const double u_p = utilities.at(p);
+      for (int i : p.Members()) {
+        pruned_moments.Add(u_p - utilities.at(p.Without(i)));
+      }
+    }
+    FEDSHAP_LOG(Debug) << "[ipss] pruned stratum k=" << (k_star_ + 1)
+                       << " samples=" << pruned_moments.count
+                       << " sigma=" << pruned_moments.StdDev();
+  }
+  return values;
 }
 
 // ---------------------------------------------------------------------------
@@ -291,9 +366,10 @@ StratifiedSweep::StratifiedSweep(int n, const StratifiedConfig& config)
         "rounds_per_stratum must have n entries (m_1..m_n)"));
     return;
   }
-  // Mirrors StratifiedSamplingShapley's draw loop exactly: repeated
-  // i.i.d. draws per stratum, duplicates collapsed, the empty coalition
-  // always first.
+  // Alg. 1 lines 1-8: repeated i.i.d. draws per stratum, duplicates
+  // collapsed (the paper's S_k is a set), the empty coalition always
+  // first. The RNG stream does not depend on utilities, so the whole
+  // plan is drawn up front.
   Rng rng(config.seed);
   std::vector<std::unordered_set<Coalition, CoalitionHash>> sampled(n + 1);
   std::vector<Coalition> plan;
@@ -352,7 +428,7 @@ Result<std::vector<double>> StratifiedSweep::Estimate(
 ExactSweep::ExactSweep(int n, SvScheme scheme) : n_(n), scheme_(scheme) {
   if (n < 1 || n > 20) {
     FailInit(Status::InvalidArgument(
-        "resumable exact SV requires 1 <= n <= 20"));
+        "exact SV requires 1 <= n <= 20"));
     return;
   }
   const uint64_t total = uint64_t{1} << n;

@@ -180,9 +180,10 @@ class CoalitionPlanSweep : public ResumableEstimator {
 };
 
 /// Resumable IPSS (Alg. 3): plan = the exhaustive <= k* strata followed
-/// by the balanced (k*+1)-stratum sample. Finishes through the same
-/// IpssEstimateFromUtilities as the one-shot IpssShapley, so a completed
-/// sweep reproduces its values bit-for-bit.
+/// by the balanced (k*+1)-stratum sample; finishes with the MC-SV estimate
+/// of Alg. 3 lines 15-17 over the recorded utilities, and logs the pruned
+/// stratum's paired-difference sigma at Debug level. The one-shot
+/// IpssShapley runs this sweep to completion.
 class IpssSweep : public CoalitionPlanSweep {
  public:
   /// Plans an IPSS sweep over `n` clients with the given budget/seed.
@@ -202,7 +203,8 @@ class IpssSweep : public CoalitionPlanSweep {
 
 /// Resumable unified stratified sampling (Alg. 1), MC or CC scheme. Plan
 /// = the empty coalition plus the distinct per-stratum draws, in draw
-/// order; finishes through StratifiedEstimateFromDraws.
+/// order; finishes through StratifiedEstimateFromDraws. The one-shot
+/// StratifiedSamplingShapley runs this sweep to completion.
 class StratifiedSweep : public CoalitionPlanSweep {
  public:
   /// Plans a stratified sweep over `n` clients with the given config.
@@ -222,8 +224,9 @@ class StratifiedSweep : public CoalitionPlanSweep {
 /// truth of every experiment, and the longest sweep the benches run).
 /// Plan = every subset in mask order; finishes through
 /// McShapleyFromSubsetUtilities / CcShapleyFromSubsetUtilities per the
-/// chosen scheme. Requires n <= 20 (the snapshot materializes all 2^n
-/// recorded utilities).
+/// chosen scheme. Requires n <= 20 (the plan and the snapshot materialize
+/// all 2^n coalitions and utilities). The one-shot ExactShapleyMc and
+/// ExactShapleyCc run this sweep to completion.
 class ExactSweep : public CoalitionPlanSweep {
  public:
   /// Plans the full 2^n sweep; `scheme` picks the final-estimate form.

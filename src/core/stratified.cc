@@ -147,55 +147,7 @@ std::vector<int> SmallestFirstAllocation(int n, int total_rounds) {
 
 Result<ValuationResult> StratifiedSamplingShapley(
     UtilitySession& session, const StratifiedConfig& config) {
-  const int n = session.num_clients();
-  if (n < 1) return Status::InvalidArgument("need at least one client");
-
-  std::vector<int> rounds = config.rounds_per_stratum;
-  if (rounds.empty()) {
-    rounds = DefaultStratumAllocation(n, config.total_rounds);
-  }
-  if (static_cast<int>(rounds.size()) != n) {
-    return Status::InvalidArgument(
-        "rounds_per_stratum must have n entries (m_1..m_n)");
-  }
-
-  Stopwatch timer;
-  Rng rng(config.seed);
-
-  // ---- Lines 1-8: sample and evaluate each stratum. ----
-  // sampled[k] holds the distinct coalitions drawn for stratum k (k=1..n):
-  // the paper's S_k is a set, so repeated i.i.d. draws collapse. Stratum 0
-  // is the empty coalition, treated as always available. All draws are
-  // made first (the rng stream does not depend on utilities), then
-  // evaluated as one batch across the session's thread pool.
-  std::vector<std::unordered_set<Coalition, CoalitionHash>> sampled(n + 1);
-  std::vector<std::vector<Coalition>> draws(n + 1);  // distinct, in order
-  sampled[0].insert(Coalition());
-  draws[0].push_back(Coalition());
-  std::vector<Coalition> to_evaluate;
-  to_evaluate.push_back(Coalition());
-  for (int k = 1; k <= n; ++k) {
-    const int m_k = rounds[k - 1];
-    for (int s = 0; s < m_k; ++s) {
-      Coalition c = RandomSubsetOfSize(n, k, rng);
-      if (!sampled[k].insert(c).second) continue;  // duplicate draw
-      draws[k].push_back(c);
-      to_evaluate.push_back(c);
-    }
-  }
-  FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> batch_u,
-                           session.EvaluateBatch(to_evaluate));
-  (void)batch_u;  // re-read as cache hits by the pairing pass below
-
-  // ---- Lines 9-17: average paired differences within each stratum. ----
-  FEDSHAP_ASSIGN_OR_RETURN(
-      std::vector<double> values,
-      StratifiedEstimateFromDraws(
-          n, config.scheme, config.pair_policy, draws,
-          [&session](const Coalition& c) { return session.Evaluate(c); }));
-
-  return FinishValuation(std::move(values), session,
-                         timer.ElapsedSeconds());
+  return StratifiedSweep(session.num_clients(), config).Run(session);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,11 +400,7 @@ bool RefineDominantBucket(int n, std::vector<AllocationBucket>& buckets,
 
 Result<ValuationResult> AdaptiveStratifiedShapley(
     UtilitySession& session, const AdaptiveAllocationConfig& config) {
-  // Delegates to the resumable sweep so the one-shot path and a
-  // checkpoint/restore path execute the identical draw/reallocate
-  // sequence (the bit-identity the resumability tests assert).
-  AdaptiveStratifiedSweep sweep(session.num_clients(), config);
-  return sweep.Run(session);
+  return AdaptiveStratifiedSweep(session.num_clients(), config).Run(session);
 }
 
 Result<std::vector<double>> StratifiedEstimateFromDraws(

@@ -59,7 +59,9 @@ struct StratifiedConfig {
 /// (CC), subject to `pair_policy`. The empty coalition counts as always
 /// sampled (its "model" is the initial one), mirroring the paper's worked
 /// Example 2. Strata where a client collected no pairs contribute zero, as
-/// in Alg. 1 line 17.
+/// in Alg. 1 line 17. Runs StratifiedSweep (core/resumable.h) to
+/// completion, so a one-shot run and a checkpointed one evaluate the same
+/// plan and return the same bits.
 Result<ValuationResult> StratifiedSamplingShapley(
     UtilitySession& session, const StratifiedConfig& config);
 
@@ -71,13 +73,11 @@ std::vector<int> DefaultStratumAllocation(int n, int total_rounds);
 /// The pairing pass of Alg. 1 (lines 9-17) in isolation: averages paired
 /// differences over already-drawn strata. `draws[k]` (k = 0..n) holds
 /// the distinct sampled coalitions of size k, in draw order; `draws[0]`
-/// must hold exactly the empty coalition. `utility` supplies U(.) — for
-/// a live run it wraps UtilitySession::Evaluate, for a resumable sweep a
-/// recorded-utilities lookup. Under PairPolicy::kEvaluateOnDemand the
-/// pair of a sampled coalition may itself be unsampled, in which case it
-/// is fetched through `utility` too. Shared by the one-shot
-/// StratifiedSamplingShapley and the resumable StratifiedSweep so both
-/// produce bit-identical estimates from the same draws.
+/// must hold exactly the empty coalition. `utility` supplies U(.): a
+/// lookup of the recorded utilities. Under PairPolicy::kEvaluateOnDemand
+/// the pair of a sampled coalition may itself be unsampled, in which case
+/// it is fetched through `utility` too. Shared by StratifiedSweep and
+/// AdaptiveStratifiedSweep (core/resumable.h).
 Result<std::vector<double>> StratifiedEstimateFromDraws(
     int n, SvScheme scheme, PairPolicy pair_policy,
     const std::vector<std::vector<Coalition>>& draws,
@@ -262,8 +262,8 @@ struct AdaptiveAllocationConfig {
 /// the sigma-pooling buckets when one dominates the error bound) and
 /// draws the granted rounds. Pairing and averaging go through the same
 /// StratifiedEstimateFromDraws as the fixed estimator, over the union of
-/// all epochs' draws. Implemented on the resumable AdaptiveStratifiedSweep
-/// (core/resumable.h), so one-shot and resumed runs are bit-identical.
+/// all epochs' draws. Runs AdaptiveStratifiedSweep (core/resumable.h) to
+/// completion, so one-shot and resumed runs are bit-identical.
 Result<ValuationResult> AdaptiveStratifiedShapley(
     UtilitySession& session, const AdaptiveAllocationConfig& config);
 

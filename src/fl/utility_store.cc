@@ -14,10 +14,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Suffix of the staging directory a v1->v2 migration builds before the
-/// atomic swap; adopted at Open when a crash hit the swap window.
-constexpr const char* kMigrateSuffix = ".migrate";
-
 /// Parses a byte-size environment variable: plain bytes or a K/M/G
 /// suffix (powers of 1024). Unset/empty/garbage yields `fallback`.
 uint64_t ParseByteSizeEnv(const char* name, uint64_t fallback) {
@@ -107,7 +103,7 @@ Result<Coalition> GetCoalition(ByteReader& reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Open / migration
+// Open
 
 Result<std::unique_ptr<UtilityStore>> UtilityStore::Open(
     const std::string& path, uint64_t fingerprint) {
@@ -121,114 +117,19 @@ Result<std::unique_ptr<UtilityStore>> UtilityStore::Open(
   std::error_code ec;
   fs::file_status status = fs::status(path, ec);
   if (ec || status.type() == fs::file_type::not_found) {
-    // A crash between "remove v1 file" and "rename staging dir" of a
-    // migration leaves the data in the staging dir; adopt it.
-    const std::string staging = path + kMigrateSuffix;
-    if (fs::is_directory(staging, ec)) {
-      fs::rename(staging, path, ec);
-      if (ec) {
-        return Status::Internal("cannot adopt migrated store " + staging +
-                                ": " + ec.message());
-      }
-      FEDSHAP_RETURN_NOT_OK(store->OpenDirectoryLocked());
-      return store;
-    }
     // Fresh store: the directory and manifest appear on first Put/Flush.
     return store;
   }
   if (status.type() == fs::file_type::regular) {
-    FEDSHAP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
-    FEDSHAP_RETURN_NOT_OK(store->MigrateV1Locked(contents));
-    FEDSHAP_RETURN_NOT_OK(store->OpenDirectoryLocked());
-    return store;
+    return Status::FailedPrecondition(
+        path + " is a regular file; single-file utility stores are not "
+               "supported (a store is a segment directory)");
   }
   if (status.type() != fs::file_type::directory) {
     return Status::InvalidArgument(path + " is not a utility store");
   }
   FEDSHAP_RETURN_NOT_OK(store->OpenDirectoryLocked());
   return store;
-}
-
-Status UtilityStore::MigrateV1Locked(std::string_view contents) {
-  FEDSHAP_ASSIGN_OR_RETURN(std::string_view payload,
-                           DecodeFramed(kMagic, /*max_version=*/1, contents));
-  ByteReader reader(payload);
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t stored_fingerprint, reader.GetU64());
-  if (stored_fingerprint != fingerprint_) {
-    return Status::FailedPrecondition(
-        path_ + " was written for a different workload fingerprint; "
-                "refusing to serve its utilities");
-  }
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
-  std::map<Coalition, UtilityRecord> entries;  // sorted: stable migration
-  for (uint64_t j = 0; j < count; ++j) {
-    FEDSHAP_ASSIGN_OR_RETURN(Coalition coalition, GetCoalition(reader));
-    UtilityRecord record;
-    FEDSHAP_ASSIGN_OR_RETURN(record.utility, reader.GetDouble());
-    FEDSHAP_ASSIGN_OR_RETURN(record.cost_seconds, reader.GetDouble());
-    entries[coalition] = record;
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument(path_ + " has trailing bytes");
-  }
-  if (entries.size() != count) {
-    return Status::InvalidArgument(path_ + " contains duplicate coalitions");
-  }
-
-  // Build the segment directory in a staging dir, then atomically swap it
-  // in. A crash before the swap leaves the v1 file authoritative; a crash
-  // inside the swap window is healed at the next Open (see Open).
-  const std::string staging = path_ + kMigrateSuffix;
-  std::error_code ec;
-  fs::remove_all(staging, ec);
-  fs::create_directories(staging, ec);
-  if (ec) {
-    return Status::Internal("cannot create " + staging + ": " + ec.message());
-  }
-  {
-    char name[32];
-    std::snprintf(name, sizeof(name), "seg-%06llu.seg", 1ull);
-    FEDSHAP_ASSIGN_OR_RETURN(
-        std::unique_ptr<SegmentWriter> writer,
-        SegmentWriter::Create(staging + "/" + name, kMagic, kVersion,
-                              fingerprint_));
-    std::vector<std::pair<uint64_t, Coalition>> by_offset;
-    by_offset.reserve(entries.size());
-    for (const auto& [coalition, record] : entries) {
-      FEDSHAP_ASSIGN_OR_RETURN(
-          uint64_t offset,
-          writer->Append(EncodeRecordPayload(coalition, record)));
-      by_offset.emplace_back(offset, coalition);
-    }
-    FEDSHAP_RETURN_NOT_OK(writer->Seal(EncodeFooter(std::move(by_offset))));
-  }
-  ByteWriter manifest;
-  manifest.PutU64(fingerprint_);
-  manifest.PutVarint(/*active_id=*/2);
-  manifest.PutVarint(/*sealed count=*/entries.empty() ? 0 : 1);
-  if (!entries.empty()) manifest.PutVarint(1);
-  FEDSHAP_RETURN_NOT_OK(
-      WriteFileAtomic(staging + "/MANIFEST",
-                      EncodeFramed(kManifestMagic, kVersion,
-                                   manifest.bytes())));
-  if (entries.empty()) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "seg-%06llu.seg", 1ull);
-    fs::remove(staging + "/" + name, ec);  // no data: drop the empty segment
-  }
-  fs::remove(path_, ec);
-  if (ec) {
-    return Status::Internal("cannot remove v1 store " + path_ + ": " +
-                            ec.message());
-  }
-  fs::rename(staging, path_, ec);
-  if (ec) {
-    return Status::Internal("cannot swap migrated store into " + path_ +
-                            ": " + ec.message());
-  }
-  FEDSHAP_LOG(Info) << "[store] migrated v1 store " << path_ << " ("
-                    << entries.size() << " entries) to the segment format";
-  return Status::OK();
 }
 
 Status UtilityStore::LoadManifestLocked(std::string_view contents) {
@@ -868,7 +769,7 @@ Result<std::unique_ptr<UtilityStore>> OpenAndAttachStore(
   const std::string path = UtilityStore::StemPath(stem, fingerprint);
   if (!resume) {
     std::error_code ec;
-    fs::remove_all(path, ec);  // v2 stores are directories, v1 were files
+    fs::remove_all(path, ec);  // a store is a directory, not a file
   }
   FEDSHAP_ASSIGN_OR_RETURN(std::unique_ptr<UtilityStore> store,
                            UtilityStore::Open(path, fingerprint));

@@ -1,10 +1,11 @@
 /// Tests for core/resumable.h: snapshot/restore equivalence (a resumed
 /// sweep is bit-identical to an uninterrupted one), agreement with the
-/// one-shot algorithms, snapshot validation (wrong algorithm / config /
-/// corruption), and file-based checkpoint round-trips. Also the run-level
-/// determinism contract: same seed + same --threads/--batch-size means a
-/// bit-identical ValuationResult across repeated in-process runs, across
-/// thread counts, and across a store-warm resume.
+/// one-shot algorithms in values and counters, snapshot validation (wrong
+/// algorithm / config / corruption), and file-based checkpoint
+/// round-trips. Also the run-level determinism contract: same seed + same
+/// --threads/--batch-size means a bit-identical ValuationResult across
+/// repeated in-process runs, across thread counts, and across a
+/// store-warm resume.
 
 #include "core/resumable.h"
 
@@ -20,6 +21,7 @@
 #include "fl/utility_store.h"
 #include "ml/mlp.h"
 #include "test_util.h"
+#include "util/logging.h"
 #include "util/serialization.h"
 #include "util/thread_pool.h"
 
@@ -89,6 +91,14 @@ void ExpectBitIdentical(const std::vector<double>& a,
   }
 }
 
+/// A one-shot estimator is its sweep run to completion, so on a cold
+/// cache both charge the same evaluations, trainings and fresh trainings.
+void ExpectSameCounters(const ValuationResult& a, const ValuationResult& b) {
+  EXPECT_EQ(a.num_evaluations, b.num_evaluations);
+  EXPECT_EQ(a.num_trainings, b.num_trainings);
+  EXPECT_EQ(a.num_fresh_trainings, b.num_fresh_trainings);
+}
+
 TEST(IpssSweepTest, MatchesOneShotIpss) {
   TableUtility fn = MonotoneTable(6);
   IpssConfig config;
@@ -104,7 +114,7 @@ TEST(IpssSweepTest, MatchesOneShotIpss) {
     return std::make_unique<IpssSweep>(6, config);
   });
   ExpectBitIdentical(one_shot->values, sweep.values);
-  EXPECT_EQ(sweep.num_trainings, one_shot->num_trainings);
+  ExpectSameCounters(*one_shot, sweep);
 }
 
 TEST(IpssSweepTest, ResumedBitIdenticalToUninterrupted) {
@@ -118,6 +128,28 @@ TEST(IpssSweepTest, ResumedBitIdenticalToUninterrupted) {
     ValuationResult resumed = RunWithSnapshotsEveryStep(fn, make, chunk);
     ExpectBitIdentical(uninterrupted.values, resumed.values);
   }
+}
+
+TEST(IpssSweepTest, LogsPrunedStratumSigmaOnlyAtDebugLevel) {
+  TableUtility fn = MonotoneTable(6);
+  IpssConfig config;
+  config.total_rounds = 24;  // k* = 2 (22 coalitions) + 2 sampled
+  const LogLevel original = GetLogLevel();
+  std::string logged[2];
+  for (int debug = 0; debug < 2; ++debug) {
+    SetLogLevel(debug ? LogLevel::kDebug : LogLevel::kInfo);
+    ::testing::internal::CaptureStderr();
+    RunUninterrupted(fn, [&] {
+      return std::make_unique<IpssSweep>(6, config);
+    });
+    logged[debug] = ::testing::internal::GetCapturedStderr();
+  }
+  SetLogLevel(original);
+  EXPECT_EQ(logged[0].find("[ipss] pruned stratum"), std::string::npos);
+  // Two sampled size-3 coalitions, three pairs each.
+  EXPECT_NE(logged[1].find("[ipss] pruned stratum k=3 samples=6 sigma="),
+            std::string::npos)
+      << logged[1];
 }
 
 TEST(StratifiedSweepTest, MatchesOneShotForBothSchemes) {
@@ -139,6 +171,7 @@ TEST(StratifiedSweepTest, MatchesOneShotForBothSchemes) {
       return std::make_unique<StratifiedSweep>(6, config);
     });
     ExpectBitIdentical(one_shot->values, sweep.values);
+    ExpectSameCounters(*one_shot, sweep);
   }
 }
 
@@ -166,6 +199,7 @@ TEST(ExactSweepTest, MatchesExactShapleyMcAndCc) {
       return std::make_unique<ExactSweep>(3, SvScheme::kMarginal);
     });
     ExpectBitIdentical(exact->values, sweep.values);
+    ExpectSameCounters(*exact, sweep);
     EXPECT_EQ(sweep.num_trainings, 8u);
   }
   {
@@ -177,6 +211,7 @@ TEST(ExactSweepTest, MatchesExactShapleyMcAndCc) {
       return std::make_unique<ExactSweep>(3, SvScheme::kComplementary);
     });
     ExpectBitIdentical(exact->values, sweep.values);
+    ExpectSameCounters(*exact, sweep);
   }
 }
 
@@ -468,7 +503,7 @@ TEST(AdaptiveSweepTest, MatchesOneShotAdaptive) {
     return std::make_unique<AdaptiveStratifiedSweep>(7, config);
   });
   ExpectBitIdentical(one_shot->values, sweep.values);
-  EXPECT_EQ(sweep.num_trainings, one_shot->num_trainings);
+  ExpectSameCounters(*one_shot, sweep);
 }
 
 TEST(AdaptiveSweepTest, ResumedBitIdenticalAcrossChunkSizes) {

@@ -222,6 +222,21 @@ TEST(StratifiedSamplingTest, ConfigValidation) {
   EXPECT_FALSE(StratifiedSamplingShapley(session, config).ok());
 }
 
+TEST(StratifiedSamplingTest, NegativeBudgetIsInvalidArgumentNotAbort) {
+  // With no explicit allocation the budget feeds DefaultStratumAllocation,
+  // whose precondition is total_rounds >= 0: the estimator must reject a
+  // negative budget as a Status before it gets there.
+  TableUtility table = RandomTable(3, 19);
+  UtilityCache cache(&table);
+  UtilitySession session(&cache);
+  StratifiedConfig config;
+  config.total_rounds = -1;
+  Result<ValuationResult> result = StratifiedSamplingShapley(session, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.num_evaluations(), 0u);
+}
+
 TEST(PerClientStratifiedTest, UnbiasedOverManyRuns) {
   // The per-client estimator covers every stratum for every client, so it
   // is unbiased without any coverage caveat (Thm. 1's setting).

@@ -1,6 +1,6 @@
 /// Tests for fl/utility_store.h: open/flush/reopen round-trips across the
 /// segment layout, torn-tail truncation, manifest/stray-segment crash
-/// recovery, v1->v2 migration, compaction, byte-budget eviction, coalition
+/// recovery, single-file rejection, compaction, byte-budget eviction, coalition
 /// codec edge cases, and the UtilityCache read-through/write-through
 /// integration.
 
@@ -233,67 +233,38 @@ TEST(UtilityStoreTest, CorruptManifestAndNonStoreFilesRejected) {
   ASSERT_TRUE(WriteFileAtomic(path + "/MANIFEST", "garbage bytes").ok());
   EXPECT_FALSE(UtilityStore::Open(path, 5).ok());
 
-  // A regular file that is neither a v1 store nor a segment directory.
+  // A regular file that is not a segment directory.
   fs::remove_all(path);
   ASSERT_TRUE(WriteFileAtomic(path, "definitely not a store").ok());
   EXPECT_FALSE(UtilityStore::Open(path, 5).ok());
 }
 
-TEST(UtilityStoreTest, MigratesV1FileBitIdentically) {
-  const std::string path = TempPath("migrate.fsus");
+TEST(UtilityStoreTest, SingleFileStoreRejectedAndLeftUntouched) {
+  const std::string path = TempPath("single_file.fsus");
   const uint64_t fingerprint = 0xfeedbeefULL;
-  // Synthesize a legacy v1 single-file store: framed fingerprint + count
-  // + (coalition, utility, cost) triples.
-  const std::vector<std::pair<Coalition, UtilityRecord>> entries = {
-      {Coalition(), {0.015625, 1.0}},
-      {Coalition::Of({0}), {-0.25, 2.5}},
-      {Coalition::Of({1, 3, 200}), {0.7071067811865476, 0.125}},
-      {Coalition::Full(30), {-1e-300, 3600.0}},
-  };
+  // A well-formed framed single-file store (fingerprint + count +
+  // (coalition, utility, cost) triples, frame version 1).
   ByteWriter writer;
   writer.PutU64(fingerprint);
-  writer.PutVarint(entries.size());
-  for (const auto& [coalition, record] : entries) {
-    PutCoalition(writer, coalition);
-    writer.PutDouble(record.utility);
-    writer.PutDouble(record.cost_seconds);
-  }
-  ASSERT_TRUE(
-      WriteFileAtomic(path, EncodeFramed(UtilityStore::kMagic,
-                                         /*version=*/1, writer.bytes()))
-          .ok());
+  writer.PutVarint(1);
+  PutCoalition(writer, Coalition::Of({0}));
+  writer.PutDouble(-0.25);
+  writer.PutDouble(2.5);
+  const std::string contents =
+      EncodeFramed(UtilityStore::kMagic, /*version=*/1, writer.bytes());
+  ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
 
-  // Open migrates in place: the path becomes a segment directory and
-  // every record survives bit-identically.
-  {
-    Result<std::unique_ptr<UtilityStore>> store =
-        UtilityStore::Open(path, fingerprint);
-    ASSERT_TRUE(store.ok());
-    EXPECT_TRUE(fs::is_directory(path));
-    EXPECT_EQ((*store)->loaded_entries(), entries.size());
-    for (const auto& [coalition, record] : entries) {
-      UtilityRecord read;
-      ASSERT_TRUE((*store)->Lookup(coalition, &read));
-      EXPECT_DOUBLE_EQ(read.utility, record.utility);
-      EXPECT_DOUBLE_EQ(read.cost_seconds, record.cost_seconds);
-    }
-    // The migrated store accepts appends like any other.
-    (*store)->Put(Coalition::Of({7}), {9.0, 0.0});
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  Result<std::unique_ptr<UtilityStore>> reopened =
+  Result<std::unique_ptr<UtilityStore>> store =
       UtilityStore::Open(path, fingerprint);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->size(), entries.size() + 1);
-
-  // A v1 file with the wrong fingerprint refuses to migrate.
-  const std::string other = TempPath("migrate_wrong.fsus");
-  ASSERT_TRUE(
-      WriteFileAtomic(other, EncodeFramed(UtilityStore::kMagic,
-                                          /*version=*/1, writer.bytes()))
-          .ok());
-  EXPECT_EQ(UtilityStore::Open(other, 0xdeadULL).status().code(),
-            StatusCode::kFailedPrecondition);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(store.status().message().find(path), std::string::npos);
+  EXPECT_NE(store.status().message().find("not supported"),
+            std::string::npos);
+  ASSERT_TRUE(fs::is_regular_file(path));
+  Result<std::string> after = ReadFileToString(path);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, contents);
 }
 
 TEST(UtilityStoreTest, CompactionMergesSegmentsAndDropsDuplicates) {
