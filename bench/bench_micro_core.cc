@@ -110,18 +110,17 @@ class LatencyBoundUtility : public UtilityFunction {
 };
 
 /// Raw cache fan-out: one batch of 66 coalitions, cold cache per
-/// iteration. Arg = worker threads; speedup at 4 threads vs 1 should
-/// approach 4x (the work is pure wait).
+/// iteration. Arg = threads; speedup at 4 threads vs 1 should approach
+/// 4x (the work is pure wait).
 void BM_PrefetchThreadScaling(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
+  PinnedThreads pinned(static_cast<int>(state.range(0)));
   LatencyBoundUtility fn(12, 300);
-  ThreadPool pool(threads);
   std::vector<Coalition> batch;
   ForEachSubsetOfSize(12, 2, [&](const Coalition& c) { batch.push_back(c); });
   for (auto _ : state) {
     UtilityCache cache(&fn);
-    benchmark::DoNotOptimize(
-        cache.Prefetch(batch, threads > 1 ? &pool : nullptr));
+    UtilitySession session(&cache);
+    benchmark::DoNotOptimize(session.EvaluateBatch(batch));
   }
 }
 BENCHMARK(BM_PrefetchThreadScaling)
@@ -135,14 +134,13 @@ BENCHMARK(BM_PrefetchThreadScaling)
 /// balanced (k*+1)-stratum sample all flow through the session's batched
 /// pathway. Estimates are identical across thread counts.
 void BM_IpssThreadScaling(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
+  PinnedThreads pinned(static_cast<int>(state.range(0)));
   LatencyBoundUtility fn(16, 200);
-  ThreadPool pool(threads);
   IpssConfig config;
   config.total_rounds = 160;
   for (auto _ : state) {
     UtilityCache cache(&fn);
-    UtilitySession session(&cache, threads > 1 ? &pool : nullptr);
+    UtilitySession session(&cache);
     benchmark::DoNotOptimize(IpssShapley(session, config));
   }
 }

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "service/job_spec.h"
 #include "service/valuation_service.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 using namespace fedshap;
 
@@ -127,10 +129,12 @@ int main(int argc, char** argv) {
   std::printf("%s\n\n", KernelProvenanceString().c_str());
 
   // (a) Isolated baseline: every job in its own single-worker service
-  // with its own cache — what N independent main()s would do.
+  // with its own cache, one at a time on one compute thread — what N
+  // independent sequential main()s would do.
   std::vector<RunOutcome> isolated(jobs.size());
   double isolated_wall = 0.0;
   size_t isolated_trainings = 0;
+  std::optional<PinnedThreads> sequential(std::in_place, 1);
   for (size_t i = 0; i < jobs.size(); ++i) {
     ServiceConfig config;
     config.workers = 1;
@@ -152,6 +156,7 @@ int main(int argc, char** argv) {
     isolated_wall += isolated[i].wall_seconds;
     isolated_trainings += isolated[i].result.num_trainings;
   }
+  sequential.reset();
 
   // (b) The shared service: all jobs concurrently over one workload
   // table — overlapping jobs dedup through the single-flight cache.

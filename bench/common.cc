@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "baselines/cc_shapley.h"
 #include "baselines/dig_fl.h"
@@ -22,6 +23,7 @@
 #include "util/logging.h"
 #include "util/combinatorics.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace fedshap {
 namespace bench {
@@ -69,8 +71,14 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
     }
   }
   if (options.scale <= 0.0) options.scale = 1.0;
-  if (options.threads == 0) options.threads = ThreadPool::DefaultThreads();
-  if (options.threads < 1) options.threads = 1;
+  if (options.threads > 0) {
+    // Held for the life of the process; a later Parse re-pins.
+    static std::optional<PinnedThreads> pinned;
+    pinned.reset();
+    pinned.emplace(options.threads);
+  } else {
+    options.threads = WorkerBudget::Global().total() + 1;
+  }
   if (options.batch_size < 0) options.batch_size = 0;
   return options;
 }
@@ -556,15 +564,12 @@ std::vector<Algo> SamplingAlgos() {
   return {Algo::kExtTmc, Algo::kExtGtb, Algo::kCcShapley, Algo::kIpss};
 }
 
-ScenarioRunner::ScenarioRunner(Scenario scenario, int threads)
-    : scenario_(std::move(scenario)), cache_(scenario_.utility.get()) {
-  if (threads == 0) threads = ThreadPool::DefaultThreads();
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
+ScenarioRunner::ScenarioRunner(Scenario scenario)
+    : scenario_(std::move(scenario)), cache_(scenario_.utility.get()) {}
 
 ScenarioRunner::ScenarioRunner(Scenario scenario,
                                const BenchOptions& options)
-    : ScenarioRunner(std::move(scenario), options.threads) {
+    : ScenarioRunner(std::move(scenario)) {
   const std::string stem = options.StoreStem();
   if (stem.empty()) return;
   // Flush after every training (flush_bytes=1: any appended byte trips
@@ -605,7 +610,7 @@ Result<ReconstructionContext*> ScenarioRunner::GetContext() {
 
 const std::vector<double>& ScenarioRunner::GroundTruth() {
   if (!ground_truth_.has_value()) {
-    UtilitySession session(&cache_, pool_.get());
+    UtilitySession session(&cache_);
     Result<ValuationResult> exact = ExactShapleyMc(session);
     FEDSHAP_CHECK_OK(exact.status());
     ground_truth_ = exact->values;
@@ -638,7 +643,7 @@ Result<AlgoRun> ScenarioRunner::Run(Algo algo, int gamma, uint64_t seed) {
       return run;
     }
     case Algo::kMcShapley: {
-      UtilitySession session(&cache_, pool_.get());
+      UtilitySession session(&cache_);
       FEDSHAP_ASSIGN_OR_RETURN(run.result, ExactShapleyMc(session));
       run.exact = true;
       return run;
@@ -650,7 +655,7 @@ Result<AlgoRun> ScenarioRunner::Run(Algo algo, int gamma, uint64_t seed) {
       return run;
     }
     case Algo::kExtTmc: {
-      UtilitySession session(&cache_, pool_.get());
+      UtilitySession session(&cache_);
       ExtendedTmcConfig config;
       config.permutations = gamma;
       config.seed = seed;
@@ -659,7 +664,7 @@ Result<AlgoRun> ScenarioRunner::Run(Algo algo, int gamma, uint64_t seed) {
       return run;
     }
     case Algo::kExtGtb: {
-      UtilitySession session(&cache_, pool_.get());
+      UtilitySession session(&cache_);
       ExtendedGtbConfig config;
       config.samples = gamma;
       config.seed = seed;
@@ -668,7 +673,7 @@ Result<AlgoRun> ScenarioRunner::Run(Algo algo, int gamma, uint64_t seed) {
       return run;
     }
     case Algo::kCcShapley: {
-      UtilitySession session(&cache_, pool_.get());
+      UtilitySession session(&cache_);
       CcShapleyConfig config;
       config.rounds = gamma;
       config.seed = seed;
@@ -699,7 +704,7 @@ Result<AlgoRun> ScenarioRunner::Run(Algo algo, int gamma, uint64_t seed) {
       return run;
     }
     case Algo::kIpss: {
-      UtilitySession session(&cache_, pool_.get());
+      UtilitySession session(&cache_);
       IpssConfig config;
       config.total_rounds = gamma;
       config.seed = seed;

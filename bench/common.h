@@ -25,9 +25,17 @@ namespace bench {
 ///                     readable from FEDSHAP_BENCH_SCALE. Default 1.0.
 ///   --seed=<u64>      master seed. Default 2025.
 ///   --quick           equivalent to --scale=0.4 (CI-sized run).
-///   --threads=<int>   worker threads for coalition-batch evaluation; also
-///                     readable from FEDSHAP_BENCH_THREADS. 0 = all
-///                     hardware threads. Default 1 (sequential).
+///   --threads=<int>   compute threads for the whole run (PinnedThreads):
+///                     the calling thread plus N - 1 worker-budget slots,
+///                     shared by a session's coalition fan-out and the
+///                     FedAvg client fan-out; 1 = sequential. Also
+///                     readable from FEDSHAP_BENCH_THREADS. 0 (the
+///                     default) keeps the process's budget B
+///                     (FEDSHAP_WORKER_BUDGET, else all hardware
+///                     threads), which runs B + 1 threads. Estimates are
+///                     identical at every setting; charged_seconds sums
+///                     per-training wall times, which grow when trainings
+///                     share cores.
 ///   --batch-size=<int>  minibatch size of every FedAvg local-SGD epoch;
 ///                     also readable from FEDSHAP_BENCH_BATCH_SIZE.
 ///                     0 (default) keeps each scenario's own value. Part
@@ -57,7 +65,7 @@ namespace bench {
 struct BenchOptions {
   double scale = 1.0;
   uint64_t seed = 2025;
-  int threads = 1;
+  int threads = 0;  // after Parse: the compute threads in effect
   int batch_size = 0;  // 0 = scenario default
   std::string cache_file;
   std::string store_dir;
@@ -214,10 +222,9 @@ struct AlgoRun {
 };
 
 /// Drives all algorithms against one scenario with a shared utility cache,
-/// computing the exact ground truth once. With `threads` > 1, every
-/// session it opens fans coalition batches out over a shared ThreadPool
-/// (0 = all hardware threads); estimates and accounting are identical to a
-/// sequential run.
+/// computing the exact ground truth once. Every session it opens fans its
+/// coalition batches out under the worker budget (see --threads);
+/// estimates and accounting are identical to a sequential run.
 ///
 /// When the options carry a `--cache-file` stem, the runner opens the
 /// scenario's content-addressed UtilityStore (`<stem>.<fp>.fsus` where fp
@@ -227,10 +234,10 @@ struct AlgoRun {
 /// pays for what the killed one never computed.
 class ScenarioRunner {
  public:
-  explicit ScenarioRunner(Scenario scenario, int threads = 1);
+  explicit ScenarioRunner(Scenario scenario);
 
-  /// Applies `options.threads` and, when `options.cache_file` is set,
-  /// opens + attaches the scenario's persistent utility store.
+  /// When `options.cache_file` is set, also opens + attaches the
+  /// scenario's persistent utility store.
   ScenarioRunner(Scenario scenario, const BenchOptions& options);
 
   /// Flushes the attached store (when any) before tearing down.
@@ -255,7 +262,6 @@ class ScenarioRunner {
   Scenario scenario_;
   UtilityCache cache_;
   std::unique_ptr<UtilityStore> store_;  // null without --cache-file
-  std::unique_ptr<ThreadPool> pool_;  // null when running sequentially
   std::unique_ptr<ReconstructionContext> context_;
   std::optional<std::vector<double>> ground_truth_;
   double ground_truth_seconds_ = 0.0;

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/resumable.h"
@@ -39,7 +40,7 @@ struct Options {
   uint64_t seed = 7;
   int chunk = 4;               // work units per checkpoint
   int kill_after = 0;          // exit after this many chunks (0 = never)
-  int threads = 1;
+  int threads = 0;             // compute threads; 0 = the process default
   std::string snapshot = "resume_run.snapshot";
   std::string cache_stem;      // empty = no persistent store
   bool resume = false;
@@ -155,10 +156,18 @@ std::unique_ptr<ResumableEstimator> MakeEstimator(const Options& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  Options options = ParseOptions(argc, argv);
+  // --threads=N runs on N compute threads (1 = sequential), shared by
+  // the coalition fan-out and the FedAvg client fan-out.
+  std::optional<PinnedThreads> pinned;
+  if (options.threads > 0) {
+    pinned.emplace(options.threads);
+  } else {
+    options.threads = WorkerBudget::Global().total() + 1;
+  }
   // Provenance: which kernel backend / worker budget produced this
   // run (see ml/kernel_backend.h).
   std::printf("%s\n", fedshap::KernelProvenanceString().c_str());
-  Options options = ParseOptions(argc, argv);
   std::printf("resume_run: algo=%s n=%d gamma=%d chunk=%d threads=%d\n",
               options.algo.c_str(), options.n, options.gamma,
               options.chunk, options.threads);
@@ -202,11 +211,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads != 1) {
-    pool = std::make_unique<ThreadPool>(options.threads);
-  }
-  UtilitySession session(&cache, pool.get());
+  UtilitySession session(&cache);
 
   int chunks_done = 0;
   while (!estimator->done()) {

@@ -24,8 +24,8 @@ Result<ValuationResult> CcShapley(UtilitySession& session,
       n, std::vector<StratumMoments>(n));
 
   // Draw every round's (S, N\S) pair first — the rng stream does not
-  // depend on utilities — then train the whole batch across the session's
-  // thread pool, in the order a sequential run would evaluate.
+  // depend on utilities — then train the whole batch as one fan-out,
+  // accounted in the order a sequential run would evaluate.
   std::vector<std::pair<int, Coalition>> drawn;  // (k, S) per round
   std::vector<Coalition> order;
   drawn.reserve(config.rounds);

@@ -14,7 +14,7 @@ Result<ValuationResult> KGreedyShapley(UtilitySession& session, int k_max) {
   Stopwatch timer;
 
   // Evaluate all coalitions of size <= K (Alg. 2 lines 2-4) as one batch
-  // fanned out over the session's thread pool. Utilities are kept keyed by
+  // whose misses train side by side. Utilities are kept keyed by
   // coalition for the marginal pass.
   std::vector<Coalition> sweep;
   for (int k = 0; k <= k_max; ++k) {

@@ -500,7 +500,7 @@ Status PermutationMcSweep::Step(UtilitySession& session, int max_units) {
   perms.reserve(todo);
   for (size_t p = 0; p < todo; ++p) perms.push_back(rng_.Permutation(n_));
   // One batch holding every prefix of every drawn permutation (plus the
-  // empty coalition) fans out over the session's thread pool; distinct
+  // empty coalition) fans its misses out under the worker budget; distinct
   // prefixes deduplicate in the utility cache.
   std::vector<Coalition> order;
   order.reserve(1 + todo * static_cast<size_t>(n_));

@@ -68,8 +68,8 @@ class ResumableEstimator {
   virtual bool done() const = 0;
 
   /// Advances by at most `max_units` work units (<= 0 means all
-  /// remaining), evaluating utilities through `session` (batches fan out
-  /// over the session's thread pool). Safe to call when already done
+  /// remaining), evaluating utilities through `session` (each batch's
+  /// misses train side by side). Safe to call when already done
   /// (no-op).
   virtual Status Step(UtilitySession& session, int max_units) = 0;
 

@@ -58,7 +58,7 @@ Result<ValuationResult> PerClientStratifiedShapley(
   // Draw every stratum sample up front (the rng stream is independent of
   // the utilities), recording the evaluation order a sequential run would
   // use: per draw, U(S u {i}) then its scheme pair. One batch then fans
-  // the trainings over the session's thread pool with identical
+  // the trainings out under the worker budget with identical
   // accounting.
   std::vector<Coalition> order;
   for (int i = 0; i < n; ++i) {

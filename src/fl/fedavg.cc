@@ -108,24 +108,21 @@ Result<std::unique_ptr<Model>> TrainFedAvg(
         statuses[i] = result.status();
       }
     };
-    if (shards == 1) {
-      for (size_t i = 0; i < num_participants; ++i) train_client(i);
-    } else {
-      TaskGroup group(SharedTrainingPool());
-      for (int s = 1; s < shards; ++s) {
-        group.Run([&, s] {
-          for (size_t i = s; i < num_participants;
-               i += static_cast<size_t>(shards)) {
-            train_client(i);
-          }
-        });
-      }
-      for (size_t i = 0; i < num_participants;
-           i += static_cast<size_t>(shards)) {
-        train_client(i);
-      }
-      group.Wait();
+    // Shard s trains clients s, s + shards, ...; shard 0 is this thread.
+    TaskGroup group(shards > 1 ? SharedTrainingPool() : nullptr);
+    for (int s = 1; s < shards; ++s) {
+      group.Run([&, s] {
+        for (size_t i = s; i < num_participants;
+             i += static_cast<size_t>(shards)) {
+          train_client(i);
+        }
+      });
     }
+    for (size_t i = 0; i < num_participants;
+         i += static_cast<size_t>(shards)) {
+      train_client(i);
+    }
+    group.Wait();
     // First failure in client order — the same error a sequential round
     // would have returned.
     for (size_t i = 0; i < num_participants; ++i) {

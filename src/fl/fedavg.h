@@ -40,10 +40,10 @@ struct FedAvgConfig {
 /// **Hierarchical parallelism.** Within a round, the participating
 /// clients' local trainings are independent by construction, so they are
 /// fanned out over the shared training pool (util/thread_pool.h); round
-/// aggregation remains a barrier. The fan-out width is bounded by a
-/// WorkerBudget lease, so a TrainFedAvg nested under an already-parallel
-/// layer (UtilitySession::EvaluateBatch, the valuation service's
-/// workers) degrades to sequential instead of oversubscribing cores.
+/// aggregation remains a barrier. The width is bounded by a WorkerBudget
+/// lease, so under a saturated coalition fan-out (UtilityCache::Prefetch)
+/// or busy service workers the clients train sequentially instead of
+/// oversubscribing cores; a batch with one miss leaves it the budget.
 /// The result is *bit-identical* at every worker count: per-client RNG
 /// streams are forked in client order before the fan-out, and the
 /// aggregation consumes local models in client order.

@@ -6,6 +6,7 @@
 #include "fl/utility_store.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace fedshap {
 
@@ -30,46 +31,81 @@ Result<UtilityRecord> UtilityCache::Get(const Coalition& coalition,
   }
   UtilityStore* store = store_;
   lock.unlock();
-  // Read-through: the attached store may already hold this coalition
-  // from an earlier process. A store hit is served with its original
-  // training cost and trains nothing; the single-flight slot held here
-  // keeps racers from hitting the store (or training) redundantly. Store
-  // IO happens outside the cache mutex so concurrent memory hits never
-  // stall on disk.
-  if (store != nullptr) {
-    UtilityRecord stored;
-    if (store->Lookup(coalition, &stored)) {
-      lock.lock();
-      inflight_.erase(coalition);
-      inflight_done_.notify_all();
-      if (entries_.emplace(coalition, stored).second) {
-        ++preloaded_;
-        recorded_cost_seconds_ += stored.cost_seconds;
-      }
-      ++hits_;
-      return stored;
-    }
+  return ComputeClaimed(store, coalition, fresh);
+}
+
+std::vector<size_t> UtilityCache::ClaimMisses(
+    const std::vector<Coalition>& coalitions, UtilityStore** store) {
+  std::vector<size_t> claimed;
+  std::lock_guard<std::mutex> lock(mutex_);
+  *store = store_;
+  for (size_t i = 0; i < coalitions.size(); ++i) {
+    if (entries_.count(coalitions[i]) > 0) continue;
+    if (inflight_.insert(coalitions[i]).second) claimed.push_back(i);
   }
-  Stopwatch timer;
-  Result<double> utility = fn_->Evaluate(coalition);
-  const double cost_seconds = timer.ElapsedSeconds();
-  lock.lock();
+  return claimed;
+}
+
+void UtilityCache::Unclaim(const Coalition& coalition) {
+  std::lock_guard<std::mutex> lock(mutex_);
   inflight_.erase(coalition);
   inflight_done_.notify_all();
-  // A failed evaluation counts as neither hit nor miss; a waiter finding
-  // no entry retakes the in-flight slot and retries the computation.
-  if (!utility.ok()) return utility.status();
-  if (fresh != nullptr) *fresh = true;
-  UtilityRecord record{utility.value(), cost_seconds};
-  entries_.emplace(coalition, record);
-  ++misses_;
-  total_compute_seconds_ += record.cost_seconds;
-  recorded_cost_seconds_ += record.cost_seconds;
+}
+
+bool UtilityCache::ReadThrough(UtilityStore* store,
+                               const Coalition& coalition,
+                               UtilityRecord* record) {
+  // The attached store may already hold this coalition from an earlier
+  // process. A store hit is served with its original training cost and
+  // trains nothing; the single-flight slot the caller holds keeps racers
+  // from hitting the store (or training) redundantly. Store IO happens
+  // outside the cache mutex so concurrent memory hits never stall on
+  // disk.
+  if (store == nullptr || !store->Lookup(coalition, record)) return false;
+  std::lock_guard<std::mutex> lock(mutex_);
+  inflight_.erase(coalition);
+  inflight_done_.notify_all();
+  if (entries_.emplace(coalition, *record).second) {
+    ++preloaded_;
+    recorded_cost_seconds_ += record->cost_seconds;
+  }
+  ++hits_;
+  return true;
+}
+
+void UtilityCache::Publish(UtilityStore* store, const Coalition& coalition,
+                           const UtilityRecord& record) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    inflight_.erase(coalition);
+    inflight_done_.notify_all();
+    entries_.emplace(coalition, record);
+    ++misses_;
+    total_compute_seconds_ += record.cost_seconds;
+    recorded_cost_seconds_ += record.cost_seconds;
+  }
   // Store IO happens outside the cache mutex: the store is internally
   // synchronized, and an fsync must not stall concurrent hits on the
   // evaluation hot path.
-  lock.unlock();
   WriteThrough(store, coalition, record);
+}
+
+Result<UtilityRecord> UtilityCache::ComputeClaimed(UtilityStore* store,
+                                                   const Coalition& coalition,
+                                                   bool* fresh) {
+  UtilityRecord record;
+  if (ReadThrough(store, coalition, &record)) return record;
+  Stopwatch timer;
+  Result<double> utility = fn_->Evaluate(coalition);
+  if (!utility.ok()) {
+    // A failed evaluation counts as neither hit nor miss; a waiter
+    // finding no entry retakes the in-flight slot and retries it.
+    Unclaim(coalition);
+    return utility.status();
+  }
+  record = UtilityRecord{utility.value(), timer.ElapsedSeconds()};
+  Publish(store, coalition, record);
+  if (fresh != nullptr) *fresh = true;
   return record;
 }
 
@@ -111,82 +147,62 @@ void UtilityCache::AttachStore(UtilityStore* store, size_t flush_bytes) {
 }
 
 Status UtilityCache::Prefetch(const std::vector<Coalition>& coalitions,
-                              ThreadPool* pool,
                               std::vector<uint8_t>* fresh) {
   if (fresh != nullptr) fresh->assign(coalitions.size(), 0);
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < coalitions.size(); ++i) {
-      bool computed = false;
-      FEDSHAP_ASSIGN_OR_RETURN(UtilityRecord unused,
-                               Get(coalitions[i], &computed));
-      (void)unused;
-      if (fresh != nullptr) (*fresh)[i] = computed ? 1 : 0;
-    }
+  UtilityStore* store = nullptr;
+  std::vector<size_t> claimed = ClaimMisses(coalitions, &store);
+  WorkerBudget::Lease lease(WorkerBudget::Global(),
+                            static_cast<int>(claimed.size()) - 1);
+  if (lease.granted() == 0) {
+    // Nothing to fan out to: hand the misses back to the caller's own
+    // in-order Gets, which keep the budget for their client fan-out.
+    for (size_t i : claimed) Unclaim(coalitions[i]);
     return Status::OK();
   }
-  // Lease one budget slot per pool worker that will compute, so nested
-  // TrainFedAvg client fan-outs see the cores this batch already uses
-  // and degrade to sequential instead of oversubscribing (the lease is
-  // advisory: the pool's size itself is fixed by its creator).
-  WorkerBudget::Lease lease(
-      WorkerBudget::Global(),
-      std::min(pool->num_threads(), static_cast<int>(coalitions.size())));
-  // Capture the *first* failure's real Status (lowest index wins) so
-  // callers — and through them service job reports — name the actual
-  // cause, and the error matches what a sequential pass would return.
-  std::mutex failure_mutex;
+  // Largest coalition first: the longest trainings start first, so the
+  // lanes run out of work at about the same time.
+  std::stable_sort(claimed.begin(), claimed.end(), [&](size_t a, size_t b) {
+    return coalitions[a].Count() > coalitions[b].Count();
+  });
+  std::vector<Status> statuses(claimed.size(), Status::OK());
+  std::atomic<size_t> cursor{0};
+  auto lane = [&] {
+    for (size_t k = cursor.fetch_add(1); k < claimed.size();
+         k = cursor.fetch_add(1)) {
+      const size_t i = claimed[k];
+      bool computed = false;
+      Result<UtilityRecord> record =
+          ComputeClaimed(store, coalitions[i], &computed);
+      if (!record.ok()) statuses[k] = record.status();
+      // Each miss is one lane's alone, so its slots need no lock.
+      if (fresh != nullptr) (*fresh)[i] = computed ? 1 : 0;
+    }
+  };
+  {
+    TaskGroup group(SharedTrainingPool());
+    for (int s = 0; s < lease.granted(); ++s) group.Run(lane);
+    lane();
+  }
+  // The lowest failing index: the error a sequential pass would return.
   size_t first_failed = coalitions.size();
   Status first_status = Status::OK();
-  pool->ParallelFor(static_cast<int>(coalitions.size()), [&](int i) {
-    bool computed = false;
-    Result<UtilityRecord> r = Get(coalitions[i], &computed);
-    if (!r.ok()) {
-      std::lock_guard<std::mutex> lock(failure_mutex);
-      if (static_cast<size_t>(i) < first_failed) {
-        first_failed = static_cast<size_t>(i);
-        first_status = r.status();
-      }
+  for (size_t k = 0; k < claimed.size(); ++k) {
+    if (!statuses[k].ok() && claimed[k] < first_failed) {
+      first_failed = claimed[k];
+      first_status = statuses[k];
     }
-    // Each iteration writes only its own slot, so no synchronization is
-    // needed beyond ParallelFor's completion barrier.
-    if (fresh != nullptr) (*fresh)[i] = computed ? 1 : 0;
-  });
+  }
   return first_status;
 }
 
 Status UtilityCache::PrefetchFused(const std::vector<Coalition>& coalitions,
                                    std::vector<uint8_t>* fresh) {
   if (fresh != nullptr) fresh->assign(coalitions.size(), 0);
-  // Claim the single-flight slot of every coalition that is neither
-  // cached nor already being computed elsewhere; those are the ones this
-  // call may evaluate. Duplicates within `coalitions` claim once.
-  std::vector<size_t> claimed;
   UtilityStore* store = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    store = store_;
-    for (size_t i = 0; i < coalitions.size(); ++i) {
-      if (entries_.find(coalitions[i]) != entries_.end()) continue;
-      if (inflight_.insert(coalitions[i]).second) claimed.push_back(i);
-    }
-  }
-  // Read-through first: store hits train nothing and keep their original
-  // recorded cost, exactly like Get's miss path.
   std::vector<size_t> misses;
-  for (size_t i : claimed) {
+  for (size_t i : ClaimMisses(coalitions, &store)) {
     UtilityRecord stored;
-    if (store != nullptr && store->Lookup(coalitions[i], &stored)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      inflight_.erase(coalitions[i]);
-      inflight_done_.notify_all();
-      if (entries_.emplace(coalitions[i], stored).second) {
-        ++preloaded_;
-        recorded_cost_seconds_ += stored.cost_seconds;
-      }
-      ++hits_;
-    } else {
-      misses.push_back(i);
-    }
+    if (!ReadThrough(store, coalitions[i], &stored)) misses.push_back(i);
   }
   if (misses.empty()) return Status::OK();
   std::vector<Coalition> batch;
@@ -198,27 +214,17 @@ Status UtilityCache::PrefetchFused(const std::vector<Coalition>& coalitions,
   // has no per-coalition breakdown once the scoring GEMMs are stacked.
   const double per_record_seconds =
       timer.ElapsedSeconds() / static_cast<double>(misses.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i : misses) inflight_.erase(coalitions[i]);
-    inflight_done_.notify_all();
+  for (size_t j = 0; j < misses.size(); ++j) {
     // On failure no entry is published (mirrors Get: a failed evaluation
     // is neither hit nor miss; retries recompute).
-    if (!values.ok()) return values.status();
-    for (size_t j = 0; j < misses.size(); ++j) {
-      UtilityRecord record{(*values)[j], per_record_seconds};
-      entries_.emplace(coalitions[misses[j]], record);
-      ++misses_;
-      total_compute_seconds_ += per_record_seconds;
-      recorded_cost_seconds_ += per_record_seconds;
-      if (fresh != nullptr) (*fresh)[misses[j]] = 1;
+    if (!values.ok()) {
+      Unclaim(batch[j]);
+      continue;
     }
+    Publish(store, batch[j], UtilityRecord{(*values)[j], per_record_seconds});
+    if (fresh != nullptr) (*fresh)[misses[j]] = 1;
   }
-  for (size_t j = 0; j < misses.size(); ++j) {
-    WriteThrough(store, coalitions[misses[j]],
-                 UtilityRecord{(*values)[j], per_record_seconds});
-  }
-  return Status::OK();
+  return values.status();
 }
 
 void UtilityCache::Clear() {
@@ -344,21 +350,13 @@ size_t UtilitySession::prefetch_consumed() const {
 Result<std::vector<double>> UtilitySession::EvaluateBatch(
     const std::vector<Coalition>& coalitions) {
   std::vector<uint8_t> fresh;
-  if (fused_ && coalitions.size() > 1) {
-    // Fused dispatch: one stacked evaluation for all misses. A failure
-    // is deliberately ignored here for the same reason as the pool
-    // prefetch below — the sequential pass rediscovers it at the same
-    // coalition a sequential run would have.
-    (void)cache_->PrefetchFused(coalitions, &fresh);
-  } else if (pool_ != nullptr && pool_->num_threads() > 1 &&
-             coalitions.size() > 1) {
-    // Fan the misses out over the pool. A failure here is deliberately
-    // ignored: the sequential pass below rediscovers it at the same
+  if (coalitions.size() > 1) {
+    // Train the misses ahead, in parallel. A failure is deliberately
+    // ignored here: the sequential pass below rediscovers it at the same
     // coalition a sequential run would have, so the returned error and
-    // the *session* accounting are deterministic. (Cache-level stats may
-    // still record trainings the pool completed past the failing
-    // coalition before the error surfaced.)
-    (void)cache_->Prefetch(coalitions, pool_, &fresh);
+    // the *session* accounting are deterministic.
+    (void)(fused_ ? cache_->PrefetchFused(coalitions, &fresh)
+                  : cache_->Prefetch(coalitions, &fresh));
   }
   std::vector<double> values;
   values.reserve(coalitions.size());

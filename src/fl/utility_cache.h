@@ -2,6 +2,7 @@
 #define FEDSHAP_FL_UTILITY_CACHE_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,7 +11,6 @@
 #include "fl/utility.h"
 #include "util/coalition.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fedshap {
 
@@ -61,15 +61,15 @@ class UtilityCache {
   /// attribute each training to exactly one run.
   Result<UtilityRecord> Get(const Coalition& coalition, bool* fresh = nullptr);
 
-  /// Evaluates all `coalitions` (cache misses in parallel on `pool` when
-  /// provided). Useful for the exhaustive phases of IPSS / exact SV.
-  /// When `fresh` is non-null it is resized to `coalitions.size()` and
-  /// `(*fresh)[i]` records whether evaluating `coalitions[i]` trained a
-  /// new model here (same semantics as Get's `fresh`). On failure the
-  /// *first* failing coalition's actual Status is returned (lowest index
-  /// wins), matching what a sequential pass would surface.
+  /// The coalition fan-out: trains the batch's misses (neither cached
+  /// nor in flight elsewhere) on the calling thread plus up to misses - 1
+  /// WorkerBudget::Global() slots of SharedTrainingPool(), largest
+  /// coalition first. With one miss or a grant of 0 it trains nothing,
+  /// leaving the work and the budget to the caller's own Gets. `fresh`
+  /// (resized to the batch) marks what this call trained, as Get's
+  /// `fresh`. Lanes run past a failure; the lowest failing index's
+  /// Status is returned.
   Status Prefetch(const std::vector<Coalition>& coalitions,
-                  ThreadPool* pool = nullptr,
                   std::vector<uint8_t>* fresh = nullptr);
 
   /// Like Prefetch, but routes the misses through one
@@ -132,8 +132,23 @@ class UtilityCache {
   size_t unflushed_bytes() const;
 
  private:
+  /// Takes the single-flight slot of each coalition neither cached nor
+  /// in flight; returns their indices and the attached store.
+  std::vector<size_t> ClaimMisses(const std::vector<Coalition>& coalitions,
+                                  UtilityStore** store);
+  /// The claimed-slot life cycle: give back without an entry, serve from
+  /// the store, or enter a fresh record; each releases the slot.
+  void Unclaim(const Coalition& coalition);
+  bool ReadThrough(UtilityStore* store, const Coalition& coalition,
+                   UtilityRecord* record);
+  void Publish(UtilityStore* store, const Coalition& coalition,
+               const UtilityRecord& record);
+  /// Read-through, else train, for a slot the caller claimed.
+  Result<UtilityRecord> ComputeClaimed(UtilityStore* store,
+                                       const Coalition& coalition,
+                                       bool* fresh);
   /// Write-through + byte-counted flush for one freshly computed record;
-  /// called outside the cache mutex (Get and PrefetchFused share it).
+  /// called outside the cache mutex.
   void WriteThrough(UtilityStore* store, const Coalition& coalition,
                     const UtilityRecord& record);
   const UtilityFunction* fn_;
@@ -164,11 +179,8 @@ class UtilityCache {
 /// matching an implementation that memoizes within the run).
 class UtilitySession {
  public:
-  /// `cache` (and `pool`, when given) must outlive the session. A session
-  /// with a pool fans EvaluateBatch misses out over the pool's workers;
-  /// without one it degrades to plain sequential evaluation.
-  explicit UtilitySession(UtilityCache* cache, ThreadPool* pool = nullptr)
-      : cache_(cache), pool_(pool) {}
+  /// `cache` must outlive the session.
+  explicit UtilitySession(UtilityCache* cache) : cache_(cache) {}
 
   /// Number of FL clients n of the underlying utility function.
   int num_clients() const { return cache_->num_clients(); }
@@ -177,10 +189,10 @@ class UtilitySession {
   Result<double> Evaluate(const Coalition& coalition);
 
   /// Evaluates a round's worth of coalitions, returning their utilities in
-  /// order. Cache misses are computed in parallel on the session's thread
-  /// pool (when set); accounting is identical to calling Evaluate on each
-  /// coalition sequentially — same num_evaluations, num_distinct and
-  /// charged_seconds, and on failure the same first error.
+  /// order. Misses are trained ahead by UtilityCache::Prefetch (or
+  /// PrefetchFused); the accounting is identical to calling Evaluate on
+  /// each coalition in order, and so is the error on failure. Only the
+  /// cache-level counters may include trainings finished past a failure.
   Result<std::vector<double>> EvaluateBatch(
       const std::vector<Coalition>& coalitions);
 
@@ -232,7 +244,6 @@ class UtilitySession {
                                   bool prefetched_fresh);
 
   UtilityCache* cache_;
-  ThreadPool* pool_;
   bool fused_ = false;
   /// Guards all accounting below: the service's prefetch thread posts
   /// credits concurrently with the run thread's evaluations.

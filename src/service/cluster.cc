@@ -390,16 +390,24 @@ void ClusterDispatcher::BreakerFailureLocked(size_t index) {
   workers_changed_.notify_all();
 }
 
-void ClusterDispatcher::BreakerSuccessLocked(size_t index) {
+void ClusterDispatcher::BreakerSuccessLocked(size_t index,
+                                             const PendingTask* task) {
   WorkerState& worker = *workers_[index];
-  worker.consecutive_failures = 0;
   if (worker.breaker != BreakerState::kClosed) {
+    // Only the probe closes the breaker: the answer to an attempt sent
+    // to this worker once the cooldown was over. A late answer to an
+    // earlier RPC would otherwise skip the cooldown.
+    const bool probe = task != nullptr &&
+                       task->worker == static_cast<int>(index) &&
+                       task->sent_at >= worker.breaker_open_until;
+    if (!probe) return;
     worker.breaker = BreakerState::kClosed;
     FEDSHAP_LOG(Info) << "[cluster] worker " << index
                       << " breaker closed after successful probe";
     LeaveDegradedLocked();
     workers_changed_.notify_all();
   }
+  worker.consecutive_failures = 0;
 }
 
 void ClusterDispatcher::MarkWorkerDeadLocked(size_t index) {
@@ -640,11 +648,13 @@ void ClusterDispatcher::HandleFrame(size_t index, uint64_t generation,
                              << "worker " << index << "; ignored";
         return;
       }
-      // Any well-formed task response proves the worker responsive.
-      BreakerSuccessLocked(index);
       auto it = pending_.find(*task_id);
-      if (it == pending_.end() || it->second.done ||
-          it->second.coalition.Hash() != *hash) {
+      const bool applies = it != pending_.end() && !it->second.done &&
+                           it->second.coalition.Hash() == *hash;
+      // A well-formed task response proves the worker responsive (an
+      // open breaker waits for the answer to its probe).
+      BreakerSuccessLocked(index, applies ? &it->second : nullptr);
+      if (!applies) {
         // Exactly-once application: a duplicate delivery, a frame for a
         // task already failed over and completed elsewhere, or a stale
         // id. The first accepted result won; drop this one.
@@ -669,9 +679,10 @@ void ClusterDispatcher::HandleFrame(size_t index, uint64_t generation,
       Result<uint64_t> task_id = reader.GetVarint();
       Result<std::string> message = reader.GetString();
       if (!task_id.ok() || !message.ok()) return;
-      BreakerSuccessLocked(index);
       auto it = pending_.find(*task_id);
-      if (it == pending_.end() || it->second.done) {
+      const bool applies = it != pending_.end() && !it->second.done;
+      BreakerSuccessLocked(index, applies ? &it->second : nullptr);
+      if (!applies) {
         ++stats_.duplicate_results_ignored;
         return;
       }

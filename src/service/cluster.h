@@ -130,7 +130,10 @@ struct ClusterStats {
 ///  - `breaker_trip_threshold` consecutive failures open a per-worker
 ///    circuit breaker, making the worker unschedulable for
 ///    `breaker_cooldown_ms`; the cooldown elapsing half-opens it (a
-///    probe), whose first result closes or re-opens it;
+///    probe), whose first result closes or re-opens it. Only the answer
+///    to an RPC dispatched after the cooldown closes it: a late answer to
+///    an earlier one, which concurrent coordinator RPCs make routine,
+///    proves nothing about the worker's recovery;
 ///  - when no schedulable worker exists for `degraded_grace_ms`,
 ///    Evaluate fails with Unavailable — the signal ClusterUtility turns
 ///    into a local (coordinator-side) training, so the service keeps
@@ -301,7 +304,9 @@ class ClusterDispatcher {
   Status AssignLocked(uint64_t task_id, PendingTask& task, int worker);
   void MarkWorkerDeadLocked(size_t index);
   void BreakerFailureLocked(size_t index);
-  void BreakerSuccessLocked(size_t index);
+  /// A well-formed answer from worker `index`; `task` is the pending
+  /// task it answers (null for a duplicate or stale id).
+  void BreakerSuccessLocked(size_t index, const PendingTask* task);
   void FailTaskLocked(uint64_t task_id, PendingTask& task, Status error);
   MonitorDeadlines ComputeDeadlinesLocked(
       std::chrono::steady_clock::time_point now) const;

@@ -42,6 +42,14 @@ bool IsConnectionLoss(const Status& status) {
          status.code() == StatusCode::kDeadlineExceeded;
 }
 
+// A failed send means the coordinator dropped the connection (say, after
+// rejecting an earlier frame while this one was on its way): connection
+// loss, so the worker redials instead of exiting.
+Status AsConnectionLoss(const Status& sent) {
+  if (sent.ok() || IsConnectionLoss(sent)) return sent;
+  return Status::Unavailable("connection lost: " + sent.message());
+}
+
 // Liveness beats sent from a side thread so a long training in the serve
 // loop never looks like a dead worker to the coordinator.
 class HeartbeatThread {
@@ -132,11 +140,7 @@ Status ClusterWorker::HandleWorkload(const Frame& frame) {
 }
 
 Status ClusterWorker::SendControl(uint32_t type, const std::string& payload) {
-  Status sent = channel_->Send(type, payload);
-  if (!sent.ok() && !IsConnectionLoss(sent)) {
-    return Status::Unavailable("connection lost: " + sent.message());
-  }
-  return sent;
+  return AsConnectionLoss(channel_->Send(type, payload));
 }
 
 Status ClusterWorker::SendResultFrame(const std::string& payload) {
@@ -154,20 +158,21 @@ Status ClusterWorker::SendResultFrame(const std::string& payload) {
   // Result frames go through the channel's network-fault hook: this is
   // where a scripted partition / delay-frame / corrupt-frame fires, at a
   // deterministic result ordinal.
-  FEDSHAP_RETURN_NOT_OK(
-      channel_->SendFaulted(cluster_proto::kResult, payload, faults_));
+  auto send = [this](const std::string& frame_payload) {
+    return AsConnectionLoss(
+        channel_->SendFaulted(cluster_proto::kResult, frame_payload, faults_));
+  };
+  FEDSHAP_RETURN_NOT_OK(send(payload));
   if (faults_ != nullptr && faults_->Fire(FaultSite::kDupFrame)) {
     FEDSHAP_LOG(Warning) << "[cluster-worker " << options_.shard
                          << "] fault: duplicating result frame";
-    FEDSHAP_RETURN_NOT_OK(
-        channel_->SendFaulted(cluster_proto::kResult, payload, faults_));
+    FEDSHAP_RETURN_NOT_OK(send(payload));
   }
   // A held-back frame ships after the one that overtook it.
   std::vector<std::string> held;
   held.swap(held_results_);
   for (const std::string& frame_payload : held) {
-    FEDSHAP_RETURN_NOT_OK(
-        channel_->SendFaulted(cluster_proto::kResult, frame_payload, faults_));
+    FEDSHAP_RETURN_NOT_OK(send(frame_payload));
   }
   return Status::OK();
 }

@@ -4,17 +4,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
 
 #include "util/logging.h"
 
 namespace fedshap {
 
 namespace {
-
-/// The pool whose WorkerLoop the current thread is running, if any.
-/// ParallelFor consults it to fall back to an inline loop instead of
-/// deadlocking when re-entered from one of its own workers.
-thread_local const ThreadPool* t_current_pool = nullptr;
 
 /// SharedTrainingPool()'s pool, guarded by g_shared_pool_mutex.
 ThreadPool* g_shared_pool = nullptr;
@@ -81,34 +77,36 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_available_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-}
-
-void ThreadPool::ParallelFor(int count, const std::function<void(int)>& fn) {
-  if (count <= 0) return;
-  // From one of our own workers, queueing and waiting would park the
-  // worker on tasks only this pool can run — with every worker inside a
-  // ParallelFor the pool deadlocks. Inline execution is always safe.
-  if (t_current_pool == this || num_threads() == 1 || count == 1) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  // A per-call TaskGroup joins exactly these iterations, so concurrent
-  // ParallelFor calls and unrelated background submissions on the same
-  // pool never wait on each other (WaitIdle would drain the whole pool).
-  TaskGroup group(this);
-  for (int i = 0; i < count; ++i) {
-    group.Run([&fn, i] { fn(i); });
-  }
-  group.Wait();
-}
-
 int ThreadPool::DefaultThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
+
+struct TaskGroup::State {
+  std::mutex mutex;
+  std::condition_variable done;
+  std::deque<std::function<void()>> queued;  // not yet started
+  int unfinished = 0;                        // queued or running
+
+  /// Runs the oldest queued task; false when none was left.
+  bool RunOne() {
+    std::function<void()> task;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (queued.empty()) return false;
+      task = std::move(queued.front());
+      queued.pop_front();
+    }
+    task();
+    std::lock_guard<std::mutex> lock(mutex);
+    if (--unfinished == 0) done.notify_all();
+    return true;
+  }
+};
+
+TaskGroup::TaskGroup(ThreadPool* pool)
+    : pool_(pool),
+      state_(pool == nullptr ? nullptr : std::make_shared<State>()) {}
 
 void TaskGroup::Run(std::function<void()> task) {
   if (pool_ == nullptr) {
@@ -116,20 +114,21 @@ void TaskGroup::Run(std::function<void()> task) {
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++pending_;
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->queued.push_back(std::move(task));
+    ++state_->unfinished;
   }
-  pool_->Submit([this, task = std::move(task)] {
-    task();
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (--pending_ == 0) done_.notify_all();
-  });
+  // The pool-side closure owns the state: it may run after Wait() has
+  // already taken its task and returned.
+  pool_->Submit([state = state_] { state->RunOne(); });
 }
 
 void TaskGroup::Wait() {
   if (pool_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [this] { return pending_ == 0; });
+  while (state_->RunOne()) {
+  }
+  std::unique_lock<std::mutex> lock(state_->mutex);
+  state_->done.wait(lock, [this] { return state_->unfinished == 0; });
 }
 
 WorkerBudget::WorkerBudget(int total) : total_(std::max(1, total)) {}
@@ -178,6 +177,17 @@ void WorkerBudget::Release(int granted) {
   in_use_ = std::max(0, in_use_ - granted);
 }
 
+PinnedThreads::PinnedThreads(int threads)
+    : saved_total_(WorkerBudget::Global().total()) {
+  WorkerBudget::Global().SetTotal(std::max(1, threads - 1));
+  held_ = threads <= 1 ? WorkerBudget::Global().TryAcquire(1) : 0;
+}
+
+PinnedThreads::~PinnedThreads() {
+  WorkerBudget::Global().Release(held_);
+  WorkerBudget::Global().SetTotal(saved_total_);
+}
+
 ThreadPool* SharedTrainingPool() {
   std::lock_guard<std::mutex> lock(g_shared_pool_mutex);
   if (g_shared_pool == nullptr) {
@@ -187,7 +197,6 @@ ThreadPool* SharedTrainingPool() {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_current_pool = this;
   while (true) {
     std::function<void()> task;
     {
@@ -197,14 +206,8 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (tasks_.empty() && active_ == 0) all_done_.notify_all();
-    }
   }
 }
 

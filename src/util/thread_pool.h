@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -10,13 +11,11 @@
 
 namespace fedshap {
 
-/// Fixed-size worker pool used to evaluate independent FL coalitions in
-/// parallel (the paper simulates providers with multiprocessing; we use
-/// in-process threads).
-///
-/// Tasks are `void()` closures; exceptions must not escape them (the library
-/// is exception-free). `WaitIdle()` blocks until every submitted task has
-/// finished, which gives benches a simple fork/join structure.
+/// Fixed-size worker pool that FL coalitions and clients train on (the
+/// paper simulates providers with multiprocessing; we use in-process
+/// threads). Tasks are `void()` closures; exceptions must not escape them
+/// (the library is exception-free). Callers join their own tasks through
+/// a TaskGroup; the destructor runs every queued task before joining.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (values < 1 are clamped to 1).
@@ -30,58 +29,35 @@ class ThreadPool {
   /// Enqueues a task. Never blocks.
   void Submit(std::function<void()> task);
 
-  /// Blocks until all submitted tasks have completed.
-  void WaitIdle();
-
   /// Number of worker threads.
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Runs fn(i) for i in [0, count), distributing across the pool, and
-  /// returns when all iterations finished. Waits only for its own
-  /// iterations (via a per-call TaskGroup), so concurrent callers and
-  /// unrelated background tasks on the same pool never block each other.
-  /// Called from one of this pool's own workers it degrades to an inline
-  /// sequential loop instead of deadlocking on itself. Safe to call
-  /// repeatedly.
-  void ParallelFor(int count, const std::function<void(int)>& fn);
 
   /// Number of hardware threads, at least 1.
   static int DefaultThreads();
 
  private:
-  friend class TaskGroup;
-
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  int active_ = 0;
   bool shutdown_ = false;
 };
 
-/// A caller-owned join handle over a subset of a ThreadPool's tasks.
-///
-/// `WaitIdle()` waits for *every* task in a pool, which makes a shared
-/// pool unusable by concurrent independent callers (each would wait on
-/// the others' work). A TaskGroup counts only its own submissions:
-/// `Run()` enqueues a task on the pool and `Wait()` blocks until exactly
-/// those tasks finished. Several TaskGroups can share one pool without
-/// cross-talk — this is how concurrent `TrainFedAvg` calls fan their
-/// clients out over the shared training pool.
-///
-/// Tasks submitted through a group must never themselves submit to or
-/// wait on the same pool (no nesting): the group's waiter parks on its
-/// own condition variable, so a pool whose workers are all blocked on
-/// inner work would deadlock. The FedAvg client fan-out satisfies this
-/// by construction (local SGD never re-enters the pool).
+/// A caller-owned join handle over a subset of a ThreadPool's tasks:
+/// `Run()` enqueues a task on the pool and `Wait()` returns once exactly
+/// those tasks finished, so concurrent coalition and client fan-outs
+/// share one pool without cross-talk. `Wait()` first runs the group's
+/// unstarted tasks on the calling thread and only then blocks on the
+/// running ones. A waiter thus never waits on a task stuck in the pool's
+/// queue, so groups nest (a coalition lane waiting on its training's
+/// client fan-out) without deadlock, however busy the pool is.
 class TaskGroup {
  public:
   /// Binds the group to `pool`. A null pool degrades Run() to inline
   /// execution, so callers need no special sequential path.
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
+  explicit TaskGroup(ThreadPool* pool);
   /// Waits for outstanding tasks (a destructor must not leak closures
   /// that reference the caller's stack).
   ~TaskGroup() { Wait(); }
@@ -92,29 +68,31 @@ class TaskGroup {
   /// Enqueues `task` on the pool (or runs it inline without a pool).
   void Run(std::function<void()> task);
 
-  /// Blocks until every task Run() through this group has completed.
+  /// Runs the group's unstarted tasks here, then blocks until every task
+  /// Run() through this group has completed.
   void Wait();
 
  private:
+  struct State;  // shared with pool-side closures that may outlive us
+
   ThreadPool* pool_;
-  std::mutex mutex_;
-  std::condition_variable done_;
-  int pending_ = 0;
+  std::shared_ptr<State> state_;
 };
 
 /// Process-wide accounting of compute-thread slots, so the parallelism
-/// layers cannot multiply into oversubscription: coalition batches
-/// (UtilitySession::EvaluateBatch), service workers and the per-round
-/// client fan-out inside TrainFedAvg all draw from this one budget.
+/// layers cannot multiply into oversubscription: service workers, the
+/// coalition fan-out under UtilitySession::EvaluateBatch and the
+/// per-round client fan-out inside TrainFedAvg all draw from this one
+/// budget. A fan-out granted g slots runs on g + 1 threads.
 ///
 /// The budget is advisory admission control, not a lock: `TryAcquire`
 /// never blocks, it grants between 0 and `wanted` slots depending on
 /// what is free, and the caller shrinks its parallelism to the grant
 /// (0 = run sequentially on the calling thread). Outer layers lease
 /// slots for their worker threads up front, so an inner TrainFedAvg
-/// nested under a saturated EvaluateBatch sees an empty budget and runs
-/// its clients sequentially — the hierarchy degrades to exactly one
-/// compute thread per core instead of threads^2.
+/// nested under a saturated coalition fan-out sees an empty budget and
+/// runs its clients sequentially — the hierarchy degrades to one compute
+/// thread per slot instead of threads^2.
 class WorkerBudget {
  public:
   /// A budget of `total` slots (clamped to >= 1).
@@ -129,9 +107,9 @@ class WorkerBudget {
   int total() const;
   /// Slots currently leased.
   int in_use() const;
-  /// Re-sizes the budget (tests; clamped to >= 1). Outstanding leases
-  /// keep their grants. A fork()ed child starts with no slots leased:
-  /// the threads that held them do not exist in the child.
+  /// Re-sizes the budget (clamped to >= 1; see PinnedThreads).
+  /// Outstanding leases keep their grants. A fork()ed child starts with
+  /// no slots leased: the threads that held them do not exist in it.
   void SetTotal(int total);
 
   /// Grants min(wanted, free) slots without blocking; returns the grant
@@ -172,10 +150,29 @@ class WorkerBudget {
   int in_use_ = 0;
 };
 
-/// The lazily-created process-global pool that TrainFedAvg fans
-/// per-round client trainings out over (sized to DefaultThreads()).
-/// Callers coordinate via TaskGroup and size their fan-out by a
-/// WorkerBudget lease; the pool itself is never waited on globally.
+/// Pins the process to `threads` compute threads for the scope: the
+/// calling thread plus threads - 1 slots of WorkerBudget::Global(). A
+/// budget always has at least one slot, so at threads <= 1 the pin holds
+/// that slot itself and every fan-out is granted none: the run is
+/// sequential. The destructor returns the held slot and restores the
+/// entry total. Pins do not nest. This is what the benches' and
+/// examples' `--threads=N` sets for the life of the process.
+class PinnedThreads {
+ public:
+  explicit PinnedThreads(int threads);
+  ~PinnedThreads();
+  PinnedThreads(const PinnedThreads&) = delete;
+  PinnedThreads& operator=(const PinnedThreads&) = delete;
+
+ private:
+  int saved_total_;
+  int held_ = 0;
+};
+
+/// The lazily-created process-global pool (sized to DefaultThreads())
+/// that the coalition and FedAvg client fan-outs run on. Callers
+/// coordinate via TaskGroup and size their fan-out by a WorkerBudget
+/// lease; the pool itself is never waited on globally.
 /// Intentionally leaked: it must outlive every static destructor that
 /// might still train. A fork()ed child does not inherit it: its first
 /// call builds a fresh pool, since the parent's workers are not copied.

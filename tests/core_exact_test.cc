@@ -6,6 +6,7 @@
 
 #include "core/valuation_metrics.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace fedshap {
 namespace {
@@ -173,25 +174,28 @@ TEST(ExactShapleyTest, SessionAccountingMatchesCoalitionCount) {
 TEST(ExactShapleyTest, ParallelSessionMatchesSequential) {
   TableUtility table = RandomTable(8, 11);
   UtilityCache cache(&table);
-  ThreadPool pool(4);
+  using Estimator = Result<ValuationResult> (*)(UtilitySession&);
+  auto run = [&cache](Estimator estimator, int threads) {
+    PinnedThreads pinned(threads);
+    UtilitySession session(&cache);
+    return estimator(session);
+  };
 
-  UtilitySession mc_seq(&cache);
-  Result<ValuationResult> mc_reference = ExactShapleyMc(mc_seq);
-  ASSERT_TRUE(mc_reference.ok());
-  UtilitySession mc_par(&cache, &pool);
-  Result<ValuationResult> mc_parallel = ExactShapleyMc(mc_par);
+  // The fanned-out run goes first and trains the cold cache; the
+  // sequential reference then charges the same records.
+  Result<ValuationResult> mc_parallel = run(ExactShapleyMc, 5);
   ASSERT_TRUE(mc_parallel.ok());
+  Result<ValuationResult> mc_reference = run(ExactShapleyMc, 1);
+  ASSERT_TRUE(mc_reference.ok());
   EXPECT_EQ(mc_parallel->values, mc_reference->values);
   EXPECT_EQ(mc_parallel->num_evaluations, mc_reference->num_evaluations);
   EXPECT_EQ(mc_parallel->num_trainings, mc_reference->num_trainings);
   EXPECT_DOUBLE_EQ(mc_parallel->charged_seconds,
                    mc_reference->charged_seconds);
 
-  UtilitySession cc_seq(&cache);
-  Result<ValuationResult> cc_reference = ExactShapleyCc(cc_seq);
+  Result<ValuationResult> cc_reference = run(ExactShapleyCc, 1);
   ASSERT_TRUE(cc_reference.ok());
-  UtilitySession cc_par(&cache, &pool);
-  Result<ValuationResult> cc_parallel = ExactShapleyCc(cc_par);
+  Result<ValuationResult> cc_parallel = run(ExactShapleyCc, 5);
   ASSERT_TRUE(cc_parallel.ok());
   EXPECT_EQ(cc_parallel->values, cc_reference->values);
 }

@@ -10,6 +10,7 @@
 #include "core/valuation_metrics.h"
 #include "test_util.h"
 #include "util/combinatorics.h"
+#include "util/thread_pool.h"
 
 namespace fedshap {
 namespace {
@@ -320,17 +321,19 @@ TEST(IpssTest, ParallelSessionMatchesSequential) {
   IpssConfig config;
   config.total_rounds = 60;
   config.seed = 7;
+  auto run = [&](int threads) {
+    PinnedThreads pinned(threads);
+    UtilitySession session(&cache);
+    return IpssShapley(session, config);
+  };
 
-  UtilitySession sequential(&cache);
-  Result<ValuationResult> reference = IpssShapley(sequential, config);
-  ASSERT_TRUE(reference.ok());
-
-  // Same cache: the pooled run must produce bit-identical estimates and
-  // identical per-run accounting (charged costs come from shared records).
-  ThreadPool pool(4);
-  UtilitySession batched(&cache, &pool);
-  Result<ValuationResult> parallel = IpssShapley(batched, config);
+  // Same cache: the fanned-out run trains it cold, and the sequential
+  // reference must produce bit-identical estimates and identical per-run
+  // accounting (charged costs come from shared records).
+  Result<ValuationResult> parallel = run(5);
   ASSERT_TRUE(parallel.ok());
+  Result<ValuationResult> reference = run(1);
+  ASSERT_TRUE(reference.ok());
   EXPECT_EQ(parallel->values, reference->values);
   EXPECT_EQ(parallel->num_evaluations, reference->num_evaluations);
   EXPECT_EQ(parallel->num_trainings, reference->num_trainings);

@@ -736,34 +736,66 @@ std::unique_ptr<FedAvgUtility> MakeDeterminismGame(int batch_size) {
   return std::move(fn).value();
 }
 
-ValuationResult RunIpss(const UtilityFunction& fn, ThreadPool* pool,
-                        UtilityStore* store = nullptr) {
+/// Runs `sweep` to completion over a cold cache of `fn` on `threads`
+/// compute threads (1 = sequential).
+ValuationResult RunOnThreads(const UtilityFunction& fn,
+                             ResumableEstimator& sweep, int threads) {
+  PinnedThreads pinned(threads);
   UtilityCache cache(&fn);
-  if (store != nullptr) cache.AttachStore(store, /*flush_every=*/1);
-  UtilitySession session(&cache, pool);
-  IpssConfig config;
-  config.total_rounds = 20;
-  config.seed = 99;
-  Result<ValuationResult> result = IpssShapley(session, config);
+  UtilitySession session(&cache);
+  Result<ValuationResult> result = sweep.Run(session);
   FEDSHAP_CHECK_OK(result.status());
   return std::move(result).value();
 }
 
+ValuationResult RunIpss(const UtilityFunction& fn, int threads = 1) {
+  IpssConfig config;
+  config.total_rounds = 20;
+  config.seed = 99;
+  IpssSweep sweep(fn.num_clients(), config);
+  return RunOnThreads(fn, sweep, threads);
+}
+
 TEST(DeterminismTest, SameSeedBitIdenticalAcrossInProcessRuns) {
   std::unique_ptr<FedAvgUtility> fn = MakeDeterminismGame(8);
-  ValuationResult first = RunIpss(*fn, nullptr);
-  ValuationResult second = RunIpss(*fn, nullptr);
+  ValuationResult first = RunIpss(*fn);
+  ValuationResult second = RunIpss(*fn);
   ExpectBitIdentical(first.values, second.values);
   EXPECT_EQ(first.num_trainings, second.num_trainings);
 }
 
 TEST(DeterminismTest, SameSeedBitIdenticalAcrossThreadCounts) {
   std::unique_ptr<FedAvgUtility> fn = MakeDeterminismGame(8);
-  ValuationResult sequential = RunIpss(*fn, nullptr);
-  ThreadPool pool(4);
-  ValuationResult threaded = RunIpss(*fn, &pool);
-  ExpectBitIdentical(sequential.values, threaded.values);
-  EXPECT_EQ(sequential.num_trainings, threaded.num_trainings);
+  ValuationResult sequential = RunIpss(*fn, /*threads=*/1);
+  ValuationResult wide = RunIpss(*fn, /*threads=*/5);
+  ExpectBitIdentical(sequential.values, wide.values);
+  EXPECT_EQ(sequential.num_trainings, wide.num_trainings);
+}
+
+// The coalition fan-out trains a batch's misses side by side, each nested
+// TrainFedAvg fanning its clients out over what the batch left of the
+// budget. Neither width may change a value or the training count.
+TEST(DeterminismTest, ExactAndPermutationMcBitIdenticalAcrossThreads) {
+  std::unique_ptr<FedAvgUtility> fn = MakeDeterminismGame(8);
+  ExactSweep exact_sequential(5, SvScheme::kMarginal);
+  ExactSweep exact_wide(5, SvScheme::kMarginal);
+  ValuationResult sequential = RunOnThreads(*fn, exact_sequential, 1);
+  ValuationResult wide = RunOnThreads(*fn, exact_wide, 5);
+  ExpectBitIdentical(sequential.values, wide.values);
+  EXPECT_EQ(sequential.num_fresh_trainings, 32u);
+  EXPECT_EQ(wide.num_fresh_trainings, sequential.num_fresh_trainings);
+
+  PermutationMcConfig config;
+  config.permutations = 6;
+  config.seed = 5;
+  PermutationMcSweep perm_sequential(5, config);
+  PermutationMcSweep perm_wide(5, config);
+  sequential = RunOnThreads(*fn, perm_sequential, 1);
+  wide = RunOnThreads(*fn, perm_wide, 5);
+  ExpectBitIdentical(sequential.values, wide.values);
+  EXPECT_GT(sequential.num_fresh_trainings, 0u);
+  EXPECT_EQ(wide.num_fresh_trainings, sequential.num_fresh_trainings);
+  EXPECT_EQ(wide.num_evaluations, sequential.num_evaluations);
 }
 
 TEST(DeterminismTest, SameSeedBitIdenticalAcrossStoreWarmResume) {
@@ -816,8 +848,8 @@ TEST(DeterminismTest, BatchConfigIsPartOfTheWorkloadFingerprint) {
   EXPECT_NE(batch8->Fingerprint(), batch16->Fingerprint());
 
   // And the two batch sizes genuinely are different workloads.
-  ValuationResult v8 = RunIpss(*batch8, nullptr);
-  ValuationResult v16 = RunIpss(*batch16, nullptr);
+  ValuationResult v8 = RunIpss(*batch8);
+  ValuationResult v16 = RunIpss(*batch16);
   bool any_different = false;
   for (size_t i = 0; i < v8.values.size(); ++i) {
     if (v8.values[i] != v16.values[i]) any_different = true;

@@ -10,6 +10,7 @@
 #include "core/valuation_metrics.h"
 #include "test_util.h"
 #include "util/combinatorics.h"
+#include "util/thread_pool.h"
 
 namespace fedshap {
 namespace {
@@ -352,20 +353,22 @@ TEST(SvSchemeNameTest, Names) {
 TEST(StratifiedSamplingTest, ParallelSessionMatchesSequential) {
   TableUtility table = RandomTable(9, 13);
   UtilityCache cache(&table);
-  ThreadPool pool(4);
   for (SvScheme scheme : {SvScheme::kMarginal, SvScheme::kComplementary}) {
     StratifiedConfig config;
     config.total_rounds = 50;
     config.seed = 5;
     config.scheme = scheme;
-    UtilitySession sequential(&cache);
-    Result<ValuationResult> reference =
-        StratifiedSamplingShapley(sequential, config);
-    ASSERT_TRUE(reference.ok());
-    UtilitySession batched(&cache, &pool);
-    Result<ValuationResult> parallel =
-        StratifiedSamplingShapley(batched, config);
+    auto run = [&](int threads) {
+      PinnedThreads pinned(threads);
+      UtilitySession session(&cache);
+      return StratifiedSamplingShapley(session, config);
+    };
+    // The fanned-out run goes first and trains the cold cache; the
+    // sequential reference then charges the same records.
+    Result<ValuationResult> parallel = run(5);
     ASSERT_TRUE(parallel.ok());
+    Result<ValuationResult> reference = run(1);
+    ASSERT_TRUE(reference.ok());
     EXPECT_EQ(parallel->values, reference->values)
         << SvSchemeName(scheme);
     EXPECT_EQ(parallel->num_evaluations, reference->num_evaluations);
@@ -631,19 +634,21 @@ TEST(AdaptiveStratifiedTest, BudgetIsRespected) {
 TEST(AdaptiveStratifiedTest, ParallelSessionMatchesSequential) {
   TableUtility table = RandomTable(8, 31);
   UtilityCache cache(&table);
-  ThreadPool pool(4);
   AdaptiveAllocationConfig config;
   config.total_rounds = 60;
   config.reallocate_every = 12;
   config.seed = 7;
-  UtilitySession sequential(&cache);
-  Result<ValuationResult> reference =
-      AdaptiveStratifiedShapley(sequential, config);
-  ASSERT_TRUE(reference.ok());
-  UtilitySession batched(&cache, &pool);
-  Result<ValuationResult> parallel =
-      AdaptiveStratifiedShapley(batched, config);
+  auto run = [&](int threads) {
+    PinnedThreads pinned(threads);
+    UtilitySession session(&cache);
+    return AdaptiveStratifiedShapley(session, config);
+  };
+  // The fanned-out run goes first and trains the cold cache; the
+  // sequential reference then charges the same records.
+  Result<ValuationResult> parallel = run(5);
   ASSERT_TRUE(parallel.ok());
+  Result<ValuationResult> reference = run(1);
+  ASSERT_TRUE(reference.ok());
   EXPECT_EQ(parallel->values, reference->values);
   EXPECT_EQ(parallel->num_trainings, reference->num_trainings);
 }
@@ -780,20 +785,22 @@ TEST(AdaptiveStratifiedTest, ReachesTargetErrorWithFewerTrainingsThanFixed) {
 TEST(PerClientStratifiedTest, ParallelSessionMatchesSequential) {
   TableUtility table = RandomTable(8, 17);
   UtilityCache cache(&table);
-  ThreadPool pool(4);
   for (SvScheme scheme : {SvScheme::kMarginal, SvScheme::kComplementary}) {
     PerClientStratifiedConfig config;
     config.samples_per_stratum = 3;
     config.seed = 9;
     config.scheme = scheme;
-    UtilitySession sequential(&cache);
-    Result<ValuationResult> reference =
-        PerClientStratifiedShapley(sequential, config);
-    ASSERT_TRUE(reference.ok());
-    UtilitySession batched(&cache, &pool);
-    Result<ValuationResult> parallel =
-        PerClientStratifiedShapley(batched, config);
+    auto run = [&](int threads) {
+      PinnedThreads pinned(threads);
+      UtilitySession session(&cache);
+      return PerClientStratifiedShapley(session, config);
+    };
+    // The fanned-out run goes first and trains the cold cache; the
+    // sequential reference then charges the same records.
+    Result<ValuationResult> parallel = run(5);
     ASSERT_TRUE(parallel.ok());
+    Result<ValuationResult> reference = run(1);
+    ASSERT_TRUE(reference.ok());
     EXPECT_EQ(parallel->values, reference->values)
         << SvSchemeName(scheme);
     EXPECT_EQ(parallel->num_evaluations, reference->num_evaluations);

@@ -1,5 +1,6 @@
 #include "fl/utility_cache.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include "test_util.h"
 #include "util/combinatorics.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace fedshap {
 namespace {
@@ -126,11 +128,11 @@ TEST(UtilityCacheTest, BatchFreshAccountingMatchesSequential) {
 
   CountingUtility parallel_fn(7);
   UtilityCache parallel_cache(&parallel_fn);
-  ThreadPool pool(4);
-  UtilitySession parallel(&parallel_cache, &pool);
+  PinnedThreads pinned(5);
+  UtilitySession parallel(&parallel_cache);
   ASSERT_TRUE(parallel.EvaluateBatch(batch).ok());
 
-  // The pool prefetch computes the misses, but they are still this
+  // The fan-out lanes compute the misses, but they are still this
   // session's own trainings — identical accounting to sequential.
   EXPECT_EQ(parallel.num_fresh_trainings(),
             sequential.num_fresh_trainings());
@@ -138,23 +140,32 @@ TEST(UtilityCacheTest, BatchFreshAccountingMatchesSequential) {
   EXPECT_EQ(parallel.num_distinct(), sequential.num_distinct());
 }
 
-TEST(UtilityCacheTest, PrefetchSequential) {
+// Without a free budget slot there is nothing to fan out to: Prefetch
+// trains nothing, and the caller's own Gets train on its thread.
+TEST(UtilityCacheTest, PrefetchWithoutFreeSlotTrainsNothing) {
+  PinnedThreads sequential(1);
   CountingUtility fn(6);
   UtilityCache cache(&fn);
   std::vector<Coalition> batch;
   ForEachSubsetOfSize(6, 2, [&](const Coalition& c) { batch.push_back(c); });
-  ASSERT_TRUE(cache.Prefetch(batch).ok());
-  EXPECT_EQ(cache.size(), 15u);
-  EXPECT_EQ(fn.calls(), 15);
+  std::vector<uint8_t> fresh;
+  ASSERT_TRUE(cache.Prefetch(batch, &fresh).ok());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(fn.calls(), 0);
+  EXPECT_EQ(fresh, std::vector<uint8_t>(batch.size(), 0));
 }
 
 TEST(UtilityCacheTest, PrefetchParallelComputesEachOnce) {
   CountingUtility fn(8);
   UtilityCache cache(&fn);
-  ThreadPool pool(4);
+  PinnedThreads pinned(5);
   std::vector<Coalition> batch;
   ForEachSubsetOfSize(8, 3, [&](const Coalition& c) { batch.push_back(c); });
-  ASSERT_TRUE(cache.Prefetch(batch, &pool).ok());
+  batch.push_back(batch.front());  // a repeat trains once, marked once
+  std::vector<uint8_t> fresh;
+  ASSERT_TRUE(cache.Prefetch(batch, &fresh).ok());
+  EXPECT_EQ(std::count(fresh.begin(), fresh.end(), 1), 56);
+  EXPECT_EQ(fresh.back(), 0);
   EXPECT_EQ(cache.size(), 56u);
   // Single-flight: racing workers wait for the in-flight computation
   // instead of duplicating it.
@@ -204,7 +215,7 @@ TEST(UtilityCacheTest, ConcurrentHammerComputesEachCoalitionExactlyOnce) {
   // different order, racing on a shared cache.
   SlowCountingUtility fn(10);
   UtilityCache cache(&fn);
-  ThreadPool prefetch_pool(4);
+  PinnedThreads pinned(5);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t]() {
@@ -214,7 +225,7 @@ TEST(UtilityCacheTest, ConcurrentHammerComputesEachCoalitionExactlyOnce) {
         std::swap(order[j - 1], order[rng.UniformInt(j)]);
       }
       if (t % 2 == 0) {
-        ASSERT_TRUE(cache.Prefetch(order, &prefetch_pool).ok());
+        ASSERT_TRUE(cache.Prefetch(order).ok());
       } else {
         for (const Coalition& c : order) {
           ASSERT_TRUE(cache.Get(c).ok());
@@ -239,8 +250,8 @@ TEST(UtilityCacheTest, ConcurrentHammerComputesEachCoalitionExactlyOnce) {
 TEST(UtilityCacheTest, PrefetchPropagatesFailure) {
   FailingUtility fn;
   UtilityCache cache(&fn);
-  ThreadPool pool(2);
-  EXPECT_FALSE(cache.Prefetch({Coalition()}, &pool).ok());
+  PinnedThreads pinned(3);
+  EXPECT_FALSE(cache.Prefetch({Coalition(), Coalition::Of({0})}).ok());
 }
 
 // Regression: the parallel Prefetch path used to collapse any worker
@@ -250,10 +261,10 @@ TEST(UtilityCacheTest, PrefetchPropagatesFailure) {
 TEST(UtilityCacheTest, PrefetchSurfacesUnderlyingError) {
   FailingUtility fn;
   UtilityCache cache(&fn);
-  ThreadPool pool(4);
+  PinnedThreads pinned(5);
   std::vector<Coalition> batch = {Coalition(), Coalition::Of({0}),
                                   Coalition::Of({1}), Coalition::Of({0, 1})};
-  Status parallel_status = cache.Prefetch(batch, &pool);
+  Status parallel_status = cache.Prefetch(batch);
   ASSERT_FALSE(parallel_status.ok());
   EXPECT_EQ(parallel_status.code(), StatusCode::kInternal);
   EXPECT_NE(parallel_status.ToString().find("deliberate failure"),
@@ -359,7 +370,15 @@ TEST(UtilitySessionTest, EvaluateBatchMatchesSequentialAccounting) {
   ForEachSubsetOfSize(9, 2, [&](const Coalition& c) { batch.push_back(c); });
   batch.push_back(batch.front());  // a repeat, to exercise hit accounting
 
-  // Sequential reference session.
+  // Fanned-out batch session, training the cold cache.
+  PinnedThreads pinned(5);
+  UtilitySession parallel(&cache);
+  Result<std::vector<double>> values = parallel.EvaluateBatch(batch);
+  ASSERT_TRUE(values.ok());
+
+  // Sequential reference session on the same cache: identical values,
+  // identical per-run accounting (charged costs come from the same
+  // records).
   UtilitySession sequential(&cache);
   std::vector<double> expected;
   for (const Coalition& c : batch) {
@@ -367,13 +386,6 @@ TEST(UtilitySessionTest, EvaluateBatchMatchesSequentialAccounting) {
     ASSERT_TRUE(u.ok());
     expected.push_back(*u);
   }
-
-  // Pooled batch session on the same cache: identical values, identical
-  // per-run accounting (charged costs come from the same records).
-  ThreadPool pool(4);
-  UtilitySession parallel(&cache, &pool);
-  Result<std::vector<double>> values = parallel.EvaluateBatch(batch);
-  ASSERT_TRUE(values.ok());
   EXPECT_EQ(*values, expected);
   EXPECT_EQ(parallel.num_evaluations(), sequential.num_evaluations());
   EXPECT_EQ(parallel.num_distinct(), sequential.num_distinct());
@@ -381,7 +393,7 @@ TEST(UtilitySessionTest, EvaluateBatchMatchesSequentialAccounting) {
                    sequential.charged_seconds());
 }
 
-TEST(UtilitySessionTest, EvaluateBatchWithoutPoolStillWorks) {
+TEST(UtilitySessionTest, EvaluateBatchReturnsValuesInOrder) {
   CountingUtility fn(5);
   UtilityCache cache(&fn);
   UtilitySession session(&cache);
@@ -395,8 +407,8 @@ TEST(UtilitySessionTest, EvaluateBatchWithoutPoolStillWorks) {
 TEST(UtilitySessionTest, EvaluateBatchPropagatesFailure) {
   FailingUtility fn;
   UtilityCache cache(&fn);
-  ThreadPool pool(2);
-  UtilitySession session(&cache, &pool);
+  PinnedThreads pinned(3);
+  UtilitySession session(&cache);
   EXPECT_FALSE(session.EvaluateBatch({Coalition(), Coalition::Of({0})}).ok());
   EXPECT_EQ(session.num_evaluations(), 0u);
 }
@@ -471,8 +483,8 @@ TEST(UtilitySessionTest, ConcurrentPrefetchAndEvaluateStayExact) {
   });
   SlowCountingUtility fn(9);
   UtilityCache cache(&fn);
-  ThreadPool pool(4);
-  UtilitySession session(&cache, &pool);
+  PinnedThreads pinned(5);
+  UtilitySession session(&cache);
 
   std::thread prefetcher([&] {
     for (const Coalition& c : distinct) {
@@ -524,6 +536,220 @@ TEST(UtilitySessionTest, FusedBatchMatchesUnfusedValuesAndAccounting) {
   EXPECT_EQ(fused.num_distinct(), unfused.num_distinct());
   EXPECT_EQ(fused.num_fresh_trainings(), unfused.num_fresh_trainings());
   EXPECT_EQ(fused_fn.calls(), unfused_fn.calls());
+}
+
+// ---------------------------------------------------------------------------
+// The coalition fan-out under EvaluateBatch.
+
+/// Tracks how many Evaluate calls overlap. The first call waits (up to
+/// 5 s) for a second one to begin, so any fan-out wider than one lane
+/// shows as a peak above 1 however the threads are scheduled.
+class ConcurrencyProbeUtility : public UtilityFunction {
+ public:
+  explicit ConcurrencyProbeUtility(int n) : n_(n) {}
+  int num_clients() const override { return n_; }
+  Result<double> Evaluate(const Coalition& coalition) const override {
+    const int running = running_.fetch_add(1) + 1;
+    int peak = peak_.load();
+    while (running > peak && !peak_.compare_exchange_weak(peak, running)) {
+    }
+    if (started_.fetch_add(1) == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (started_.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    running_.fetch_sub(1);
+    return static_cast<double>(coalition.Count());
+  }
+  int peak() const { return peak_.load(); }
+
+ private:
+  int n_;
+  mutable std::atomic<int> running_{0};
+  mutable std::atomic<int> peak_{0};
+  mutable std::atomic<int> started_{0};
+};
+
+TEST(CoalitionFanOutTest, ConcurrencyStaysWithinTheBudget) {
+  std::vector<Coalition> batch;
+  ForEachSubsetOfSize(8, 2, [&](const Coalition& c) { batch.push_back(c); });
+  for (int slots : {1, 2, 4}) {
+    PinnedThreads pinned(1 + slots);
+    ConcurrencyProbeUtility fn(8);
+    UtilityCache cache(&fn);
+    UtilitySession session(&cache);
+    Result<std::vector<double>> values = session.EvaluateBatch(batch);
+    ASSERT_TRUE(values.ok());
+    EXPECT_LE(fn.peak(), 1 + slots) << "budget " << slots;
+    EXPECT_GT(fn.peak(), 1) << "budget " << slots;
+    EXPECT_EQ(session.num_fresh_trainings(), batch.size());
+    EXPECT_EQ(WorkerBudget::Global().in_use(), 0);
+  }
+}
+
+/// Counts Evaluate calls and records the most budget slots leased
+/// during any of them.
+class LeaseProbeUtility : public UtilityFunction {
+ public:
+  explicit LeaseProbeUtility(int n) : n_(n) {}
+  int num_clients() const override { return n_; }
+  Result<double> Evaluate(const Coalition& coalition) const override {
+    calls_.fetch_add(1);
+    const int in_use = WorkerBudget::Global().in_use();
+    int seen = max_in_use_.load();
+    while (in_use > seen && !max_in_use_.compare_exchange_weak(seen, in_use)) {
+    }
+    return static_cast<double>(coalition.Count());
+  }
+  int calls() const { return calls_.load(); }
+  int max_in_use() const { return max_in_use_.load(); }
+  void Reset() {
+    calls_.store(0);
+    max_in_use_.store(0);
+  }
+
+ private:
+  int n_;
+  mutable std::atomic<int> calls_{0};
+  mutable std::atomic<int> max_in_use_{0};
+};
+
+// Warm paths (a replay over a full cache, a re-run) and lone misses must
+// not wake the pool: only a batch with two or more misses leases budget
+// slots, and the fan-out runs one lane per leased slot. An all-hit batch
+// reaches no Evaluate at all; the lone miss trains with no slot leased.
+TEST(CoalitionFanOutTest, AllHitAndSingleMissBatchesLeaseNothing) {
+  PinnedThreads pinned(5);
+  LeaseProbeUtility fn(6);
+  UtilityCache cache(&fn);
+  std::vector<Coalition> batch;
+  ForEachSubsetOfSize(6, 2, [&](const Coalition& c) { batch.push_back(c); });
+  UtilitySession cold(&cache);
+  ASSERT_TRUE(cold.EvaluateBatch(batch).ok());
+  EXPECT_EQ(fn.calls(), 15);
+  EXPECT_GT(fn.max_in_use(), 0);  // the 15 misses fan out
+
+  fn.Reset();
+  UtilitySession warm(&cache);
+  ASSERT_TRUE(warm.EvaluateBatch(batch).ok());
+  EXPECT_EQ(fn.calls(), 0);
+  batch.push_back(Coalition::Of({0, 1, 2}));  // one miss among hits
+  ASSERT_TRUE(warm.EvaluateBatch(batch).ok());
+  EXPECT_EQ(fn.calls(), 1);
+  EXPECT_EQ(fn.max_in_use(), 0);
+  EXPECT_EQ(warm.num_fresh_trainings(), 1u);
+  EXPECT_EQ(WorkerBudget::Global().in_use(), 0);
+}
+
+/// Records what a TrainFedAvg nested in Evaluate would be granted: it
+/// leases the way TrainFedAvg does, for as many slots as it can get.
+class NestedLeaseProbeUtility : public UtilityFunction {
+ public:
+  explicit NestedLeaseProbeUtility(int n) : n_(n) {}
+  int num_clients() const override { return n_; }
+  Result<double> Evaluate(const Coalition& coalition) const override {
+    WorkerBudget::Lease nested(WorkerBudget::Global(), 64);
+    int seen = max_granted_.load();
+    while (nested.granted() > seen &&
+           !max_granted_.compare_exchange_weak(seen, nested.granted())) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    return static_cast<double>(coalition.Count());
+  }
+  int max_granted() const { return max_granted_.load(); }
+  void Reset() { max_granted_.store(0); }
+
+ private:
+  int n_;
+  mutable std::atomic<int> max_granted_{0};
+};
+
+TEST(CoalitionFanOutTest, LoneMissKeepsTheBudgetSaturatedBatchLeavesNone) {
+  PinnedThreads pinned(3);
+  {
+    // One miss: no batch lease, so its training may fan its clients out.
+    NestedLeaseProbeUtility fn(6);
+    UtilityCache cache(&fn);
+    ASSERT_TRUE(cache.Get(Coalition::Of({0})).ok());
+    fn.Reset();
+    UtilitySession session(&cache);
+    ASSERT_TRUE(
+        session.EvaluateBatch({Coalition::Of({0}), Coalition::Of({1, 2})})
+            .ok());
+    EXPECT_EQ(fn.max_granted(), 2);
+  }
+  {
+    // Six misses at budget 2: the batch holds both slots throughout, so
+    // every nested training runs its clients sequentially.
+    NestedLeaseProbeUtility fn(6);
+    UtilityCache cache(&fn);
+    UtilitySession session(&cache);
+    std::vector<Coalition> batch;
+    ForEachSubsetOfSize(6, 1, [&](const Coalition& c) { batch.push_back(c); });
+    ASSERT_TRUE(session.EvaluateBatch(batch).ok());
+    EXPECT_EQ(fn.max_granted(), 0);
+  }
+}
+
+/// Fails on the coalitions in `failing`, naming the coalition.
+class SelectiveFailureUtility : public UtilityFunction {
+ public:
+  SelectiveFailureUtility(int n, std::vector<Coalition> failing)
+      : n_(n), failing_(std::move(failing)) {}
+  int num_clients() const override { return n_; }
+  Result<double> Evaluate(const Coalition& coalition) const override {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    for (const Coalition& bad : failing_) {
+      if (coalition == bad) {
+        return Status::Internal("failed on " + coalition.ToString());
+      }
+    }
+    return static_cast<double>(coalition.Count());
+  }
+
+ private:
+  int n_;
+  std::vector<Coalition> failing_;
+};
+
+TEST(CoalitionFanOutTest, MidBatchFailureMatchesSequentialRun) {
+  std::vector<Coalition> batch;
+  ForEachSubsetOfSize(8, 2, [&](const Coalition& c) { batch.push_back(c); });
+  // Two failing coalitions; the lower batch index must win whichever
+  // lane reaches its coalition first.
+  const Coalition first_bad = batch[9];
+  const Coalition later_bad = batch[20];
+  SelectiveFailureUtility fn(8, {later_bad, first_bad});
+
+  UtilityCache sequential_cache(&fn);
+  UtilitySession sequential(&sequential_cache);
+  Status expected = Status::OK();
+  for (const Coalition& c : batch) {
+    Result<double> u = sequential.Evaluate(c);
+    if (!u.ok()) {
+      expected = u.status();
+      break;
+    }
+  }
+  ASSERT_FALSE(expected.ok());
+
+  PinnedThreads pinned(5);
+  UtilityCache cache(&fn);
+  UtilitySession session(&cache);
+  Result<std::vector<double>> values = session.EvaluateBatch(batch);
+  ASSERT_FALSE(values.ok());
+  EXPECT_EQ(values.status().ToString(), expected.ToString());
+  EXPECT_NE(values.status().ToString().find(first_bad.ToString()),
+            std::string::npos);
+  EXPECT_EQ(session.num_evaluations(), sequential.num_evaluations());
+  EXPECT_EQ(session.num_distinct(), sequential.num_distinct());
+  EXPECT_EQ(session.num_fresh_trainings(), sequential.num_fresh_trainings());
+  EXPECT_EQ(session.num_evaluations(), 9u);
 }
 
 TEST(UtilitySessionTest, PaperTableOneRoundTrip) {

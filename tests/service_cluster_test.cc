@@ -24,7 +24,23 @@
 #include "service/valuation_service.h"
 #include "util/coalition.h"
 #include "util/framing.h"
+#include "util/serialization.h"
 #include "util/tcp_transport.h"
+#include "util/thread_pool.h"
+
+// The fork-mode tests fork worker processes from a coordinator whose
+// shared training pool already runs (the coalition fan-out of earlier
+// jobs started it), and the children start threads of their own.
+// ThreadSanitizer aborts that by default (die_after_fork=1); a child
+// that builds a fresh pool is the designed behaviour (see the fork
+// handlers in util/thread_pool.cc), so this binary turns the abort off.
+#if defined(__SANITIZE_THREAD__)
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
+#endif
+#endif
 
 namespace fedshap {
 namespace {
@@ -570,6 +586,11 @@ TEST(ClusterTcpFaultTest, ReconnectBackoffFollowsSeededSchedule) {
 // probe, the (now healed) worker answers it, the breaker closes, and the
 // job completes bit-identical with no degraded work.
 TEST(ClusterBreakerTest, TripProbeCloseUnderConsecutiveDeadlineExpiry) {
+  // One RPC at a time, so the three dropped results are consecutive
+  // failures: with concurrent RPCs a timely answer to another one could
+  // reset the count between them and the breaker might never trip. The
+  // concurrent case is LateAnswerDoesNotCloseAnOpenBreaker below.
+  PinnedThreads sequential(1);
   JobSpec job = MakeJob("job", EstimatorKind::kIpss, LinregScenario(8));
   const ValuationResult reference = RunIsolated(job);
 
@@ -593,6 +614,114 @@ TEST(ClusterBreakerTest, TripProbeCloseUnderConsecutiveDeadlineExpiry) {
   EXPECT_GE(stats.breaker_probes, 1u);
   EXPECT_EQ(stats.degraded_evaluations, 0u);
   EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings);
+}
+
+// With concurrent coordinator RPCs, a worker's answer can land after its
+// deadline expired and opened the breaker. That late answer must not
+// close the breaker: only the answer to an RPC dispatched after the
+// cooldown (the half-open probe) does. The test plays the
+// worker over a socketpair, so it decides when each answer arrives.
+TEST(ClusterBreakerTest, LateAnswerDoesNotCloseAnOpenBreaker) {
+  const ScenarioSpec scenario = LinregScenario(4);
+  Result<std::unique_ptr<UtilityFunction>> local = scenario.Build();
+  ASSERT_TRUE(local.ok());
+  auto pair = CreateChannelPair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  std::unique_ptr<FrameChannel> worker = std::move(pair->second);
+
+  ClusterDispatcher::Options options;
+  options.rpc_deadline_ms = 100;
+  options.breaker_trip_threshold = 1;
+  options.breaker_cooldown_ms = 500;
+  options.degraded_grace_ms = 10000;
+  ClusterDispatcher dispatcher(options);
+  dispatcher.AddWorker(std::move(pair->first));
+  dispatcher.RegisterWorkload("w", scenario, (*local)->Fingerprint());
+
+  // Returns the task id of the next Assign the worker receives.
+  auto next_assign = [&worker]() -> uint64_t {
+    for (;;) {
+      Result<std::optional<Frame>> frame = worker->Recv(5000);
+      if (!frame.ok() || !frame->has_value()) return 0;
+      if ((*frame)->type != cluster_proto::kAssign) continue;
+      ByteReader reader((*frame)->payload);
+      Result<uint64_t> task_id = reader.GetVarint();
+      return task_id.ok() ? *task_id : 0;
+    }
+  };
+  auto answer = [&worker](uint64_t task_id, const Coalition& coalition) {
+    ByteWriter writer;
+    writer.PutVarint(task_id);
+    writer.PutU64(coalition.Hash());
+    writer.PutDouble(0.5);  // utility
+    writer.PutDouble(0.0);  // cost_seconds
+    writer.PutU8(1);        // fresh
+    return worker->Send(cluster_proto::kResult, writer.bytes());
+  };
+  auto wait_for = [](auto condition) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!condition() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return condition();
+  };
+
+  const Coalition late = Coalition::Of({0, 1});
+  const Coalition probe = Coalition::Of({2});
+  const Coalition after = Coalition::Of({3});
+  Result<UtilityRecord> late_record = Status::Internal("not run");
+  Result<UtilityRecord> probe_record = Status::Internal("not run");
+  Result<UtilityRecord> after_record = Status::Internal("not run");
+  // Each Evaluate blocks until its answer lands, so it runs on a thread
+  // of its own. Leaving the test early shuts the dispatcher down first,
+  // which fails every pending call, so the joins cannot hang.
+  std::vector<std::thread> callers;
+  struct JoinCallers {
+    ClusterDispatcher& dispatcher;
+    std::vector<std::thread>& callers;
+    ~JoinCallers() {
+      dispatcher.Shutdown();
+      for (std::thread& caller : callers) caller.join();
+    }
+  } join_callers{dispatcher, callers};
+  auto evaluate = [&](const Coalition& coalition,
+                      Result<UtilityRecord>* record) {
+    callers.emplace_back([&dispatcher, coalition, record] {
+      *record = dispatcher.Evaluate("w", coalition);
+    });
+  };
+
+  evaluate(late, &late_record);
+  const uint64_t late_id = next_assign();
+  ASSERT_NE(late_id, 0u);
+  // Unanswered past its deadline: the breaker opens.
+  ASSERT_TRUE(wait_for([&] { return dispatcher.stats().breaker_trips == 1; }));
+  ASSERT_TRUE(answer(late_id, late).ok());
+
+  evaluate(probe, &probe_record);
+  const uint64_t probe_id = next_assign();
+  ASSERT_NE(probe_id, 0u);
+  // Nothing reaches the worker before the cooldown half-opens the
+  // breaker: the late answer did not close it.
+  EXPECT_EQ(dispatcher.stats().breaker_probes, 1u);
+  ASSERT_TRUE(answer(probe_id, probe).ok());
+
+  // The probe's answer closed the breaker: the next RPC goes straight
+  // out, with no further trip or probe.
+  evaluate(after, &after_record);
+  const uint64_t after_id = next_assign();
+  ASSERT_NE(after_id, 0u);
+  ASSERT_TRUE(answer(after_id, after).ok());
+  for (std::thread& caller : callers) caller.join();
+  callers.clear();
+  EXPECT_TRUE(late_record.ok()) << late_record.status();
+  EXPECT_TRUE(probe_record.ok()) << probe_record.status();
+  EXPECT_TRUE(after_record.ok()) << after_record.status();
+  const ClusterStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.breaker_trips, 1u);
+  EXPECT_EQ(stats.breaker_probes, 1u);
+  EXPECT_EQ(stats.results_applied, 3u);
 }
 
 // Total outage from the start: the lone worker is killed before the job

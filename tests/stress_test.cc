@@ -151,7 +151,6 @@ class ConcurrencyStress : public ::testing::Test {
 TEST_F(ConcurrencyStress, ParallelEvaluationsAgreeWithSequential) {
   // The same coalition evaluated from many threads must yield one value.
   UtilityCache cache(utility_.get());
-  ThreadPool pool(4);
   std::vector<Coalition> targets;
   for (uint64_t mask = 0; mask < 32; ++mask) {
     Coalition c;
@@ -162,14 +161,16 @@ TEST_F(ConcurrencyStress, ParallelEvaluationsAgreeWithSequential) {
   }
   // Hammer: every coalition requested from 8 concurrent tasks.
   std::atomic<int> failures{0};
-  for (int rep = 0; rep < 8; ++rep) {
-    for (const Coalition& c : targets) {
-      pool.Submit([&cache, &failures, c] {
-        if (!cache.Get(c).ok()) failures.fetch_add(1);
-      });
+  {
+    ThreadPool pool(4);
+    for (int rep = 0; rep < 8; ++rep) {
+      for (const Coalition& c : targets) {
+        pool.Submit([&cache, &failures, c] {
+          if (!cache.Get(c).ok()) failures.fetch_add(1);
+        });
+      }
     }
-  }
-  pool.WaitIdle();
+  }  // the destructor drains the queue, then joins
   EXPECT_EQ(failures.load(), 0);
 
   // Values equal a fresh sequential evaluation (determinism).
@@ -187,7 +188,7 @@ TEST_F(ConcurrencyStress, ParallelPrefetchThenExactShapley) {
   // Prefetching all coalitions in parallel then running exact SV must give
   // the same values as a purely sequential run.
   UtilityCache parallel_cache(utility_.get());
-  ThreadPool pool(4);
+  PinnedThreads pinned(5);
   std::vector<Coalition> all;
   for (uint64_t mask = 0; mask < 32; ++mask) {
     Coalition c;
@@ -196,7 +197,7 @@ TEST_F(ConcurrencyStress, ParallelPrefetchThenExactShapley) {
     }
     all.push_back(c);
   }
-  ASSERT_TRUE(parallel_cache.Prefetch(all, &pool).ok());
+  ASSERT_TRUE(parallel_cache.Prefetch(all).ok());
   UtilitySession parallel_session(&parallel_cache);
   Result<ValuationResult> from_parallel = ExactShapleyMc(parallel_session);
   ASSERT_TRUE(from_parallel.ok());
@@ -214,14 +215,18 @@ TEST(TableUtilityStress, ManyConcurrentSessions) {
   UtilityCache cache(&table);
   ThreadPool pool(4);
   std::atomic<int> failures{0};
-  pool.ParallelFor(64, [&](int i) {
-    UtilitySession session(&cache);
-    Rng rng(1000 + i);
-    for (int draws = 0; draws < 50; ++draws) {
-      Coalition c = RandomSubsetOfSize(8, 1 + rng.UniformInt(8), rng);
-      if (!session.Evaluate(c).ok()) failures.fetch_add(1);
-    }
-  });
+  TaskGroup group(&pool);
+  for (int i = 0; i < 64; ++i) {
+    group.Run([&, i] {
+      UtilitySession session(&cache);
+      Rng rng(1000 + i);
+      for (int draws = 0; draws < 50; ++draws) {
+        Coalition c = RandomSubsetOfSize(8, 1 + rng.UniformInt(8), rng);
+        if (!session.Evaluate(c).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  group.Wait();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_LE(cache.size(), 256u);
 }

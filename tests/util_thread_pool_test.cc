@@ -10,19 +10,14 @@ namespace fedshap {
 namespace {
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // destructor drains the queue, then joins
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not hang
-  SUCCEED();
 }
 
 TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
@@ -30,38 +25,6 @@ TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
   EXPECT_EQ(pool.num_threads(), 1);
   ThreadPool negative(-3);
   EXPECT_EQ(negative.num_threads(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> touched(257);
-  pool.ParallelFor(257, [&](int i) { touched[i].fetch_add(1); });
-  for (int i = 0; i < 257; ++i) EXPECT_EQ(touched[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolTest, ParallelForZeroAndNegativeCounts) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, [&](int) { ++calls; });
-  pool.ParallelFor(-5, [&](int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  pool.ParallelFor(5, [&](int i) { order.push_back(i); });
-  std::vector<int> expected = {0, 1, 2, 3, 4};
-  EXPECT_EQ(order, expected);  // inline execution preserves order
-}
-
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(4);
-  std::atomic<long> total{0};
-  for (int batch = 0; batch < 10; ++batch) {
-    pool.ParallelFor(50, [&](int i) { total.fetch_add(i); });
-  }
-  EXPECT_EQ(total.load(), 10 * (49 * 50 / 2));
 }
 
 TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
@@ -75,8 +38,7 @@ TEST(ThreadPoolTest, DestructionWithPendingWorkCompletes) {
     for (int i = 0; i < 20; ++i) {
       pool.Submit([&counter] { counter.fetch_add(1); });
     }
-    pool.WaitIdle();
-  }  // destructor joins workers
+  }  // destructor runs the pending tasks, then joins workers
   EXPECT_EQ(counter.load(), 20);
 }
 
@@ -89,7 +51,7 @@ TEST(TaskGroupTest, WaitsOnlyForOwnTasks) {
     while (!release_other.load()) std::this_thread::yield();
   });
   // ...while the group's own short tasks complete and Wait returns
-  // without waiting for the foreign task (WaitIdle would hang here).
+  // without waiting for the foreign task.
   TaskGroup group(&pool);
   for (int i = 0; i < 8; ++i) {
     group.Run([&own] { own.fetch_add(1); });
@@ -97,7 +59,6 @@ TEST(TaskGroupTest, WaitsOnlyForOwnTasks) {
   group.Wait();
   EXPECT_EQ(own.load(), 8);
   release_other.store(true);
-  pool.WaitIdle();
 }
 
 TEST(TaskGroupTest, NullPoolRunsInline) {
@@ -126,48 +87,63 @@ TEST(TaskGroupTest, ConcurrentGroupsShareOnePoolWithoutCrosstalk) {
   EXPECT_EQ(total.load(), 64);
 }
 
-// Regression: ParallelFor used to wait for the whole pool to go idle, so
-// an unrelated long-running task made it block indefinitely. It now waits
-// on a per-call TaskGroup and returns as soon as its own indices finish.
-TEST(ThreadPoolTest, ParallelForIgnoresForeignTasks) {
-  ThreadPool pool(4);
+// N threads = the caller plus N - 1 budget slots; at 1 the pin holds the
+// one slot a budget always has, so nothing is left to grant.
+TEST(PinnedThreadsTest, GrantsThreadsMinusOneSlotsAndRestores) {
+  const int entry_total = WorkerBudget::Global().total();
+  {
+    PinnedThreads sequential(1);
+    EXPECT_EQ(WorkerBudget::Global().TryAcquire(4), 0);
+  }
+  EXPECT_EQ(WorkerBudget::Global().total(), entry_total);
+  EXPECT_EQ(WorkerBudget::Global().in_use(), 0);
+  {
+    PinnedThreads four(4);
+    WorkerBudget::Lease lease(WorkerBudget::Global(), 8);
+    EXPECT_EQ(lease.granted(), 3);
+  }
+  EXPECT_EQ(WorkerBudget::Global().total(), entry_total);
+  EXPECT_EQ(WorkerBudget::Global().in_use(), 0);
+}
+
+// Wait() runs the group's unstarted tasks on the calling thread: with the
+// pool's only worker held by a foreign task, the group still completes.
+TEST(TaskGroupTest, WaitRunsUnstartedTasksOnTheCaller) {
+  ThreadPool pool(1);
   std::atomic<bool> release_other{false};
   pool.Submit([&release_other] {
     while (!release_other.load()) std::this_thread::yield();
   });
-  std::atomic<int> covered{0};
-  pool.ParallelFor(32, [&covered](int) { covered.fetch_add(1); });
-  EXPECT_EQ(covered.load(), 32);  // returned while the blocker still runs
+  std::atomic<int> own{0};
+  {
+    TaskGroup group(&pool);
+    for (int i = 0; i < 4; ++i) {
+      group.Run([&own] { own.fetch_add(1); });
+    }
+    group.Wait();
+  }
+  EXPECT_EQ(own.load(), 4);
   release_other.store(true);
-  pool.WaitIdle();
 }
 
-// Regression: calling ParallelFor from inside one of the pool's own
-// worker threads used to deadlock once every worker was occupied (each
-// nested call waited for tasks no free worker could run). Nested calls
-// now detect their own pool and run inline.
-TEST(ThreadPoolTest, NestedParallelForFromWorkerRunsInline) {
+// The coalition fan-out nests: each lane's training opens its own client
+// fan-out group on the same pool. With every worker inside an outer task,
+// the inner groups must still finish.
+TEST(TaskGroupTest, NestedGroupsOnOnePoolDoNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
-  // Outer fan-out occupies every worker; each body nests another
-  // ParallelFor on the same pool.
-  pool.ParallelFor(4, [&](int) {
-    pool.ParallelFor(8, [&inner_total](int) { inner_total.fetch_add(1); });
-  });
-  EXPECT_EQ(inner_total.load(), 4 * 8);
-}
-
-TEST(ThreadPoolTest, ConcurrentParallelForCallersDoNotCrosstalk) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  std::vector<std::thread> callers;
-  for (int t = 0; t < 4; ++t) {
-    callers.emplace_back([&pool, &total] {
-      pool.ParallelFor(25, [&total](int) { total.fetch_add(1); });
+  TaskGroup outer(&pool);
+  for (int i = 0; i < 4; ++i) {
+    outer.Run([&pool, &inner_total] {
+      TaskGroup inner(&pool);
+      for (int j = 0; j < 8; ++j) {
+        inner.Run([&inner_total] { inner_total.fetch_add(1); });
+      }
+      inner.Wait();
     });
   }
-  for (std::thread& caller : callers) caller.join();
-  EXPECT_EQ(total.load(), 4 * 25);
+  outer.Wait();
+  EXPECT_EQ(inner_total.load(), 4 * 8);
 }
 
 TEST(WorkerBudgetTest, GrantsUpToTotalAndReleases) {
